@@ -107,10 +107,9 @@ CORPUS_DIR = f"/tmp/oel_bench_corpus/n{N_DOCS}_s{BENCH_SEED}"
 
 def bench_cfg():
     from onestools_eventlog_ray.config import EngineConfig
-    # salt thresholds scaled down so the skew/salting path is exercised
+    # salt run target scaled down so the skew/salting path is exercised
     # at bench scale exactly as it would be at 10^12 files
     return EngineConfig(num_partitions=64,
-                        salt_threshold=max(2000, N_DOCS // 4),
                         salt_target_run=max(1000, N_DOCS // 8))
 
 
@@ -174,10 +173,7 @@ def run_headline(clock: _StageClock) -> dict:
     return {
         "files_per_sec": round(report["n_docs"] / t_build, 1),
         "n_docs": report["n_docs"],
-        "n_hot_terms": report["n_hot_terms"],
         "n_query_hits": n_hits,
-        "build_detail": {k: round(report[k], 2) for k in
-                         ("docstore_s", "stats_s", "hot_detect_s", "postings_s")},
         "build_phases": report.get("phases", {}),
     }
 
@@ -412,8 +408,6 @@ def main_single(build_only: bool = False) -> dict:
         "queries_cpu_s": dict(clock.cpu),
         "files_per_sec": stages["files_per_sec"],
         "n_docs": stages["n_docs"],
-        "n_hot_terms": stages["n_hot_terms"],
-        "build_detail": stages["build_detail"],
         "build_phases": stages.get("build_phases", {}),
         # concurrent-clients serving benchmark (QPS + latency
         # percentiles; NOT added to "value" — serving throughput is a

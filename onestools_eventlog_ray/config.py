@@ -32,40 +32,18 @@ class EngineConfig:
     block_size: int = 128             # docs per posting block (block-skip/WAND unit)
 
     # ---- skew handling (north_rule: explicit salting of hot terms) ---
-    # A term with df > salt_threshold is split into ceil(df/salt_target_run)
-    # doc_id-range runs that build in parallel and concatenate at merge.
-    salt_threshold: int = 200_000
+    # Prepass-free UNIVERSAL fixed-range salting: every term is split
+    # into up to S doc_id-high-bit ranges (S a power of two), so a hot
+    # term spreads over S encode tasks with no df estimate at all; small
+    # fragmented postings are re-encoded at merge.  ``salt_ranges`` is
+    # the floor of S; with a corpus row estimate S scales up to
+    # ceil(N / salt_target_run), capped at ``max_salts``.  (Dense
+    # externally-supplied doc_ids occupy the low end of the 63-bit
+    # space, so range salting degenerates to one run — only the
+    # hash-derived id path gets spreading.)
+    salt_ranges: int = 4
     salt_target_run: int = 100_000
     max_salts: int = 64
-
-    # ---- execution ---------------------------------------------------
-    # None = operate on Ray Data's natural blocks (no re-batching). An
-    # explicit batch_size forces a block coalesce/split that measured ~10x
-    # the cost of the stage UDFs themselves — only set it when a stage
-    # genuinely needs bounded batches (e.g. huge binary payloads).
-    tokenize_batch_size: int | None = None
-    triple_batch_size: int | None = None
-    tokenize_concurrency: int | None = None  # None = stateless tasks sized by Ray
-
-    # ---- pass-B execution engine --------------------------------------
-    # "exchange": explicit two-level partition exchange with raw Ray tasks
-    #   (stages/exchange.py) — measured ~2x lower fixed overhead than the
-    #   Dataset groupby path on the integer-keyed posting shuffle.
-    # "raydata": groupby(gkey)/groupby(pkey) Dataset path.
-    # Both produce identical shards (tests/test_exchange.py).
-    postings_impl: str = "exchange"
-
-    # Single-pass build (exchange impl only): ONE corpus read does
-    # docstore + stats + triples + exchange.  Skew handling switches to
-    # prepass-free UNIVERSAL fixed-range salting: every term is split
-    # into up to ``salt_ranges`` doc_id-high-bit ranges (power of two),
-    # so a hot term spreads over ``salt_ranges`` encode tasks with no
-    # df estimate at all; small fragmented postings are re-encoded at
-    # merge.  (Dense externally-supplied doc_ids occupy the low end of
-    # the 63-bit space, so range salting degenerates to one run — only
-    # the hash-derived id path gets spreading.)
-    single_pass: bool = True
-    salt_ranges: int = 4
 
     # ---- scoring -----------------------------------------------------
     bm25: Bm25Params = field(default_factory=Bm25Params)

@@ -9,7 +9,7 @@ partitioning, block order and cluster size (SURVEY.md §7.4).  Uniformity
 of the hash also gives balanced doc_id-range salting of hot terms.
 
 Everything here is VECTORIZED (round-2 judge item: the per-row hashlib /
-Python-int loops ran inside pass A's map task on every document while
+Python-int loops ran inside the build's map task on every document while
 the measured-6x-faster DuckDB kernels sat unused).  All digests route
 through :mod:`onestools_eventlog_ray.functions.fasthash`; the rollup
 folds parse hex prefixes with a numpy nibble LUT — no per-row Python.

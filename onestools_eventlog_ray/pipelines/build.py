@@ -1,37 +1,36 @@
 """Index build pipeline — the engine's equivalent of the reference's
 export lifecycle (``/root/reference/OneSTools.EventLog.Exporter.Core/EventLogExporter.cs:96-156``):
 
-    read_parquet(corpus)
-      -> map_batches(DocstoreSink)  [docstore part files + sha256 +
-            per-batch stats/hot-candidate partials — fused sink]   pass A
-    fold partials -> N, avgdl, fingerprint, hot-term salt fan-out
-    read_parquet(corpus, content only)
-      -> map_batches(TripleEmitter)      [(term, doc_id, tf, dl)]
-      -> map_batches(AssignShard)        [pkey/salt/gkey, resume filter]
-      -> groupby(gkey).map_groups(encode_runs)      [THE shuffle, salted]
-      -> groupby(pkey).map_groups(merge_and_write)  [blob-sized shuffle]
-      -> per-partition checkpoint records                          pass B
+    read_parquet(corpus)                       ONE read, streamed as block refs
+      -> _map_combined            [docstore part files + stats partial +
+                                   (term, doc_id, tf, dl) triples split by
+                                   gkey = hash(term, doc-range salt) % G]
+      -> _encode_partition_ranged [per gkey: lexsort + encode salted runs,
+                                   split by pkey = hash(term) % P]
+    fold stats partials -> N, avgdl, fingerprint
+      -> commit stats.json + _DOCSTORE_DONE marker
+      -> _merge_partition         [per pkey: splice runs -> shard parquet
+                                   + checkpoint record]
 
-Every stage streams; nothing materializes the corpus.  Resume skips
-partitions recorded ``done`` with a matching corpus fingerprint BEFORE
-the shuffle, so a rerun after failure moves only the remaining data.
+(stages/exchange.py).  Resume, like the reference's stored-position
+restart (``EventLogExporter.cs:203-232``): a rerun that finds a valid
+marker reads the corpus through the same chain with no docstore writes,
+drops rows of partitions recorded ``done`` at the map, and merges only
+the missing partitions — after checking that the corpus still folds to
+the recorded fingerprint.  With every partition ``done`` it reads
+nothing.
 """
 
 from __future__ import annotations
 
-import math
 import os
+import shutil
 import time
-
-import ray
-import ray.data
 
 from onestools_eventlog_ray.config import EngineConfig
 from onestools_eventlog_ray.sources.corpus import CorpusSpec, CODE_CORPUS_SPEC, read_corpus
-from onestools_eventlog_ray.stages.normalize import docstore_sink
-from onestools_eventlog_ray.stages.tokenize import emit_triples
-from onestools_eventlog_ray.stages.postings import (assign_shard, make_encode_runs,
-                                                    make_merge_and_write)
+from onestools_eventlog_ray.stages.exchange import (build_combined_exchange,
+                                                    pick_salt_ranges)
 from onestools_eventlog_ray.stages import stats as stats_mod
 from onestools_eventlog_ray.state import checkpoint as ckpt
 
@@ -40,11 +39,6 @@ from onestools_eventlog_ray.state import checkpoint as ckpt
 #: stats manifest and validated by every reader); re-exported here for
 #: the docstore marker and external callers.
 LAYOUT_VERSION = ckpt.LAYOUT_VERSION
-
-
-def _pool_size() -> int:
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    return max(2, ncpu - 1)
 
 
 def docstore_path(index_dir: str) -> str:
@@ -101,7 +95,6 @@ def _estimate_corpus_rows(corpus_paths, max_footers: int = 256) -> int | None:
 def build_index(corpus_paths, index_dir: str,
                 spec: CorpusSpec = CODE_CORPUS_SPEC,
                 cfg: EngineConfig = EngineConfig(),
-                hot_terms: dict[str, int] | None = None,
                 exclude_doc_ids=None,
                 row_filter=None, row_filter_sig: str = "",
                 corpus_fmt: str = "parquet") -> dict:
@@ -162,213 +155,136 @@ def build_index(corpus_paths, index_dir: str,
             excl_sig += " excl=" + hashlib.blake2b(
                 excl.tobytes(), digest_size=8).hexdigest()
 
-    # ---- pass A: docstore + per-row invariants --------------------------
     dstore = docstore_path(index_dir)
-    # the marker makes a completed docstore pass skippable on resume,
-    # like the reference skipping already-exported positions
+    # the marker makes a completed docstore (and its stats manifest)
+    # reusable on resume, like the reference skipping already-exported
+    # positions
     done_marker = os.path.join(dstore, "_DOCSTORE_DONE")
     marker_text = (f"layout={LAYOUT_VERSION} "
                    f"pattern={cfg.token_split_pattern} "
                    f"store_content={cfg.store_content} "
                    f"input={_input_signature(corpus_paths)}{excl_sig}")
-    reuse_docstore = (os.path.exists(done_marker)
-                      and open(done_marker).read() == marker_text)
-    t0 = time.monotonic()
-    df_est: dict[str, int] = {}
     P = cfg.num_partitions
 
-    # ---- single-pass combined build (exchange impl, full builds) --------
-    # ONE corpus read produces docstore + stats + shards; skew handled by
-    # prepass-free fixed-range salting (stages/exchange.py).  Resume and
-    # non-exchange impls take the two-pass path below.
-    if not reuse_docstore:
-        # No (valid) docstore marker means this is a FULL (re)build of a
-        # new/changed corpus: any surviving shards/ + manifest/ belong to
-        # the previous corpus.  Wipe them, or partitions that are empty
-        # in the new build would leave stale shard files that
-        # SearchEngine.load_terms still reads (round-1 ADVICE, medium:
-        # queries returned doc_ids of deleted documents after an
-        # in-place rebuild).
-        # positions/ and ann/ sidecars hold doc_ids of the SAME previous
-        # corpus — wipe them too, or PhraseEngine/AnnIndex serve stale
-        # docs after an in-place rebuild (round-2 ADVICE, medium).
-        import shutil
-        for p in (os.path.join(index_dir, "shards"),
-                  os.path.join(index_dir, "positions"),
-                  os.path.join(index_dir, "ann"),
-                  ckpt.manifest_dir(index_dir)):
-            if os.path.isdir(p):
-                shutil.rmtree(p)
+    def salt_fanout() -> int:
+        return pick_salt_ranges(cfg, _estimate_corpus_rows(corpus_paths)
+                                if corpus_fmt == "parquet" else None)
 
-    if (not reuse_docstore and cfg.single_pass
-            and cfg.postings_impl == "exchange" and hot_terms is None):
-        import shutil
-        from onestools_eventlog_ray.stages.exchange import \
-            build_combined_exchange
-        if os.path.isdir(dstore):
-            shutil.rmtree(dstore)
-        os.makedirs(dstore, exist_ok=True)
-        ds = read_corpus(corpus_paths, spec, **read_kwargs)
-        n_est = (_estimate_corpus_rows(corpus_paths)
-                 if corpus_fmt == "parquet" else None)
-        part_rows, stats = build_combined_exchange(ds, spec, cfg,
-                                                   index_dir, dstore,
-                                                   n_docs_est=n_est)
-        fingerprint = stats["fingerprint"]
-        built = {int(r["partition_id"]) for r in part_rows}
-        for pid in range(P):
-            if pid not in built:
-                ckpt.write_record(index_dir, ckpt.PartitionRecord(
-                    partition_id=pid, input_fingerprint=fingerprint,
-                    output_path="", n_terms=0, n_postings=0,
-                    build_wall_s=0.0, status="done"))
-        ckpt.write_stats(index_dir, {
-            **stats, "num_partitions": P, "config": cfg.to_dict(),
-            "df_est_hot_candidates": {}, "hot_terms": {},
-            "salting": f"fixed-range:{stats.get('salt_ranges_used', cfg.salt_ranges)}",
-            "spec": {"content_col": spec.content_col, "id_col": spec.id_col,
-                     "key_cols": list(spec.key_cols),
-                     "meta_cols": list(spec.meta_cols)},
-        })
-        ckpt.atomic_write_text(done_marker, marker_text)
-        wall = time.monotonic() - t_start
-        n_docs = stats["n_docs"]
-        return {
-            "n_docs": n_docs, "total_tokens": stats["total_tokens"],
-            "avgdl": stats["avgdl"], "fingerprint": fingerprint,
-            "num_partitions": P, "n_hot_terms": 0,
-            "resumed_partitions": 0,
-            "wall_s": wall, "docstore_s": 0.0, "stats_s": 0.0,
-            "hot_detect_s": 0.0, "postings_s": wall,
-            "phases": stats.get("phase_wall_s", {}),
-            "single_pass": True,
-            "salt_ranges": stats.get("salt_ranges_used", cfg.salt_ranges),
-            "files_per_sec": n_docs / wall if wall > 0 else 0.0,
-        }
+    def manifest(stats: dict, S: int) -> dict:
+        return {**stats, "salt_ranges_used": S, "num_partitions": P,
+                "config": cfg.to_dict(), "salting": f"fixed-range:{S}",
+                "spec": {"content_col": spec.content_col,
+                         "id_col": spec.id_col,
+                         "key_cols": list(spec.key_cols),
+                         "meta_cols": list(spec.meta_cols)}}
 
-    if not reuse_docstore:
-        # fused pass: write docstore part files + emit stats/hot partials
-        # (one corpus read instead of write + stats-read + hot-sample).
-        # No (valid) marker means any existing part files are leftovers of
-        # an interrupted pass or a different corpus — wipe, or the rerun
-        # would leave duplicate/stale docs beside the fresh files.
-        import shutil
-        if os.path.isdir(dstore):
-            shutil.rmtree(dstore)
-        os.makedirs(dstore, exist_ok=True)
-        ds = read_corpus(corpus_paths, spec, **read_kwargs)
-        partials = ds.map_batches(docstore_sink, batch_format="pyarrow",
-                                  batch_size=cfg.tokenize_batch_size,
-                                  fn_kwargs=dict(
-                                      spec=spec,
-                                      token_split_pattern=cfg.token_split_pattern,
-                                      store_content=cfg.store_content,
-                                      docstore_dir=dstore)).take_all()
-        stats = stats_mod.fold_stats(partials)
-        df_est = stats_mod.fold_hot_candidates(partials)
-        ckpt.write_stats(index_dir, {**stats, "df_est_hot_candidates": df_est,
-                                     "num_partitions": cfg.num_partitions,
-                                     "config": cfg.to_dict()})
-        ckpt.atomic_write_text(done_marker, marker_text)
-    else:
+    resume = False
+    if os.path.exists(done_marker):
+        with open(done_marker) as f:
+            resume = f.read() == marker_text
+    if resume:
+        # ---- resume: docstore + stats committed by an earlier run -------
         try:
             prior = ckpt.read_stats(index_dir)
             stats = {k: prior[k] for k in
                      ("n_docs", "total_tokens", "avgdl", "max_doc_id",
                       "fingerprint")}
-            df_est = prior.get("df_est_hot_candidates", {})
         except (FileNotFoundError, KeyError):
             # docstore exists but stats manifest lost: recompute the
             # rollup from the docstore's narrow columns (same doc_id-mixed
-            # rollup as the build sinks, so the fingerprint — and therefore
-            # partition-record resume — survives the manifest loss), then
-            # re-persist it so the next run reads instead of recomputing.
+            # rollup as the map task, so the fingerprint — and therefore
+            # partition-record resume — survives the manifest loss); the
+            # write below re-persists it so the next run reads instead of
+            # recomputing.
             stats = stats_mod.corpus_stats_from_docstore(dstore)
-            df_est = {}
-            ckpt.write_stats(index_dir, {
-                **stats, "df_est_hot_candidates": df_est,
-                "num_partitions": cfg.num_partitions,
-                "config": cfg.to_dict()})
-    fingerprint = stats["fingerprint"]
-    t_docstore = time.monotonic() - t0
-    t_stats = 0.0
+            prior = {}
+        # the fan-out the full build used, so rebuilt shards match it
+        S = int(prior.get("salt_ranges_used") or salt_fanout())
+        ckpt.write_stats(index_dir, manifest(stats, S))
+        fingerprint = stats["fingerprint"]
+        done = {p for p in ckpt.done_partitions(index_dir, fingerprint)
+                if p < P}
+        t_build, phases = 0.0, {}
+        if len(done) < P:
+            t0 = time.monotonic()
 
-    # ---- resume check ---------------------------------------------------
-    done = ckpt.done_partitions(index_dir, fingerprint)
-    done = {p for p in done if p < P}
+            def check(folded: dict) -> None:
+                if folded["fingerprint"] != fingerprint:
+                    raise RuntimeError(
+                        f"corpus fingerprint {folded['fingerprint']} != "
+                        f"recorded {fingerprint}: refusing to splice new "
+                        f"shards next to old ones; remove {done_marker} "
+                        "to force a full rebuild")
 
-    t_hot = t_build = 0.0
-    if hot_terms is not None:
-        hot = hot_terms
-    else:
-        # salt fan-out from the pass-A df estimates (SURVEY.md §4 'Skew')
-        hot = {}
-        for t, d in df_est.items():
-            if d > cfg.salt_threshold:
-                n_salts = min(cfg.max_salts,
-                              math.ceil(d / cfg.salt_target_run))
-                if n_salts > 1:
-                    hot[t] = n_salts
-    if len(done) < P:
-        # ---- pass B: triples -> salted shuffle -> shards ----------------
-        t0 = time.monotonic()
-        id_space_max = max(stats["max_doc_id"], 0)
-        ds = read_corpus(corpus_paths, spec, with_meta=False, **read_kwargs)
-        if cfg.postings_impl == "exchange":
-            from onestools_eventlog_ray.stages.exchange import \
-                build_postings_exchange
-            part_rows = build_postings_exchange(
-                ds, spec, cfg, {**stats, "fingerprint": fingerprint},
-                hot, index_dir, frozenset(done))
-        else:
-            hot_ref = ray.put(hot)
-            triples = ds.map_batches(emit_triples, batch_format="pyarrow",
-                                     batch_size=cfg.tokenize_batch_size,
-                                     fn_kwargs=dict(
-                                         spec=spec,
-                                         token_split_pattern=cfg.token_split_pattern))
-            keyed = triples.map_batches(assign_shard, batch_format="pyarrow",
-                                        batch_size=cfg.triple_batch_size,
-                                        fn_kwargs=dict(
-                                            hot_ref=hot_ref, num_partitions=P,
-                                            id_space_max=id_space_max,
-                                            done_pkeys=frozenset(done)))
-            runs = keyed.groupby("gkey").map_groups(
-                make_encode_runs(cfg.block_size),
-                batch_format="pyarrow")
-            merged = runs.groupby("pkey").map_groups(
-                make_merge_and_write(index_dir, fingerprint),
-                batch_format="pyarrow")
-            part_rows = merged.take_all()   # <= P tiny rows
-        t_build = time.monotonic() - t0
+            ds = read_corpus(corpus_paths, spec, with_meta=False,
+                             **read_kwargs)
+            part_rows, folded = build_combined_exchange(
+                ds, spec, cfg, index_dir, S, check,
+                done_pkeys=frozenset(done))
+            _record_empty_partitions(index_dir, P, part_rows, done,
+                                     fingerprint)
+            t_build = time.monotonic() - t0
+            phases = folded["phase_wall_s"]
+        return _report(stats, P, len(done), t_start, t_build, phases, S)
 
-        # empty partitions (no terms hash there) still get a checkpoint record
-        built = {int(r["partition_id"]) for r in part_rows} | done
-        for pid in range(P):
-            if pid not in built:
-                ckpt.write_record(index_dir, ckpt.PartitionRecord(
-                    partition_id=pid, input_fingerprint=fingerprint,
-                    output_path="", n_terms=0, n_postings=0,
-                    build_wall_s=0.0, status="done"))
+    # ---- full build ------------------------------------------------------
+    # No (valid) docstore marker means this is a FULL (re)build of a
+    # new/changed corpus, or a rerun of one that crashed before its map
+    # stage finished.  Any surviving docstore part files, shards/ and
+    # manifest/ belong to the previous corpus or the interrupted run:
+    # wipe them, or the docstore would hold duplicate/stale docs and
+    # partitions that are empty in the new build would leave stale shard
+    # files that SearchEngine.load_terms still reads (round-1 ADVICE,
+    # medium: queries returned doc_ids of deleted documents after an
+    # in-place rebuild).  positions/ and ann/ sidecars hold doc_ids of
+    # the SAME previous corpus — wipe them too, or PhraseEngine/AnnIndex
+    # serve stale docs after an in-place rebuild (round-2 ADVICE, medium).
+    for p in (os.path.join(index_dir, "shards"),
+              os.path.join(index_dir, "positions"),
+              os.path.join(index_dir, "ann"),
+              ckpt.manifest_dir(index_dir), dstore):
+        if os.path.isdir(p):
+            shutil.rmtree(p)
+    os.makedirs(dstore, exist_ok=True)
+    S = salt_fanout()
 
-    # ---- commit stats manifest -----------------------------------------
-    ckpt.write_stats(index_dir, {
-        **stats,
-        "num_partitions": P,
-        "config": cfg.to_dict(),
-        "df_est_hot_candidates": df_est,
-        "hot_terms": hot,
-        "spec": {"content_col": spec.content_col, "id_col": spec.id_col,
-                 "key_cols": list(spec.key_cols), "meta_cols": list(spec.meta_cols)},
-    })
+    def commit(stats: dict) -> None:
+        # every map task has finished, so every docstore part is on disk:
+        # from here a crash during the merges resumes per partition
+        ckpt.write_stats(index_dir, manifest(stats, S))
+        ckpt.atomic_write_text(done_marker, marker_text)
+
+    ds = read_corpus(corpus_paths, spec, **read_kwargs)
+    part_rows, stats = build_combined_exchange(
+        ds, spec, cfg, index_dir, S, commit, docstore_dir=dstore)
+    _record_empty_partitions(index_dir, P, part_rows, set(),
+                             stats["fingerprint"])
+    return _report(stats, P, 0, t_start, time.monotonic() - t_start,
+                   stats["phase_wall_s"], S)
+
+
+def _record_empty_partitions(index_dir: str, P: int, part_rows: list[dict],
+                             done: set[int], fingerprint: str) -> None:
+    """Empty partitions (no term hashes there) still get a checkpoint
+    record, so a rerun sees them ``done``."""
+    built = {int(r["partition_id"]) for r in part_rows} | done
+    for pid in range(P):
+        if pid not in built:
+            ckpt.write_record(index_dir, ckpt.PartitionRecord(
+                partition_id=pid, input_fingerprint=fingerprint,
+                output_path="", n_terms=0, n_postings=0,
+                build_wall_s=0.0, status="done"))
+
+
+def _report(stats: dict, P: int, resumed: int, t_start: float,
+            postings_s: float, phases: dict, S: int) -> dict:
     wall = time.monotonic() - t_start
     n_docs = stats["n_docs"]
     return {
         "n_docs": n_docs, "total_tokens": stats["total_tokens"],
-        "avgdl": stats["avgdl"], "fingerprint": fingerprint,
-        "num_partitions": P, "n_hot_terms": len(hot),
-        "resumed_partitions": len(done),
-        "wall_s": wall, "docstore_s": t_docstore, "stats_s": t_stats,
-        "hot_detect_s": t_hot, "postings_s": t_build,
+        "avgdl": stats["avgdl"], "fingerprint": stats["fingerprint"],
+        "num_partitions": P, "resumed_partitions": resumed,
+        "wall_s": wall, "postings_s": postings_s, "phases": phases,
+        "salt_ranges": S,
         "files_per_sec": n_docs / wall if wall > 0 else 0.0,
     }

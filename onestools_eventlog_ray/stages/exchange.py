@@ -1,31 +1,32 @@
-"""Explicit partition exchange for the posting build — the raw-Ray
-escape hatch.
+"""The index build's single-pass partition exchange (raw Ray tasks).
 
-Pass B's wide operation is a *partition exchange on a small integer
-key*, not an ordering problem: ``encode_runs`` re-sorts every group by
+The posting build is a *partition exchange on a small integer key*, not
+an ordering problem: the encode step re-sorts every group by
 ``(term, salt, doc_id)`` anyway, so the sort Ray Data's
 ``groupby().map_groups`` performs is redundant work, and its
 CPU-count-independent overhead (boundary sampling + two barriers +
 chunk-metadata bookkeeping) measured ~9 s per pass regardless of 8 or
-32 CPUs — the strong-scaling ceiling of the Dataset path.
-
-This module implements the same dataflow as a textbook two-level
-map/reduce exchange with raw ``@ray.remote`` tasks (the documented
-last-resort of the build guidelines — used ONLY here, where the Dataset
-API's implementation was measured inadequate; everything else in the
+32 CPUs.  The exchange is therefore a textbook two-level map/reduce
+with raw ``@ray.remote`` tasks (used ONLY here; everything else in the
 engine stays on the Dataset API):
 
-    corpus block --(task: tokenize+assign+split by gkey)--> G sub-tables
-    gkey g       --(task: concat + lexsort + encode runs,
-                     split runs by pkey)-->                 P sub-tables
-    pkey p       --(task: concat + splice salted runs +
-                     write shard + checkpoint record)-->    manifest row
+    corpus blocks --(_map_combined: docstore part + stats partial +
+                     tokenize + split by gkey)-->            G sub-tables
+    gkey g        --(_encode_partition_ranged: concat + lexsort +
+                     encode runs, split runs by pkey)-->     P sub-tables
+    pkey p        --(_merge_partition: splice salted runs +
+                     write shard + checkpoint record)-->     manifest row
 
-Partitioning assumptions (document per guidelines): ``gkey``/``pkey``
-are blake2b-hash partitions in [0, P); hot terms are doc_id-RANGE
-salted so a term's runs concatenate sorted (see stages/postings.py).
-Output equivalence with the Dataset path is asserted in
-tests/test_exchange.py.
+ONE corpus read produces the docstore, the corpus stats and the shards.
+A resume reruns the same chain with no docstore writes, rows of ``done``
+partitions dropped at the map, and merges only for the missing
+partitions.
+
+Partitioning: ``pkey = md5(term) % P`` is the final shard; every term is
+doc_id-RANGE salted (salt = the doc_id's top ``log2(S)`` bits) so its
+runs concatenate in ascending id order at the merge (see
+stages/postings.py).  Postings are checked against a plain-Python
+reference and across salt fan-outs in tests/test_salt_equivalence.py.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import pyarrow as pa
 import ray
 
 from onestools_eventlog_ray.stages import postings as post_mod
-from onestools_eventlog_ray.stages.tokenize import emit_triples
 
 
 def _split_by_key(table: pa.Table, key: str, num_partitions: int) -> list[pa.Table]:
@@ -54,105 +54,7 @@ def _split_by_key(table: pa.Table, key: str, num_partitions: int) -> list[pa.Tab
 
 
 @ray.remote
-def _map_partition(spec, pattern: str, hot: dict[str, int],
-                   num_partitions: int, num_groups: int, id_space_max: int,
-                   done_pkeys: frozenset, *blocks: pa.Table) -> list[pa.Table]:
-    """corpus blocks -> triples -> keys -> ``num_groups`` sub-tables.
-
-    The build-group fan ``num_groups`` is independent of the shard count
-    P: groups only need to (a) outnumber the CPUs and (b) bound group
-    size; using ~2xCPUs instead of P cuts the exchange's small-object
-    count (tasks x returns) at low CPU counts."""
-    from onestools_eventlog_ray.functions.runtime import pin_worker_threads
-    pin_worker_threads()
-    keyed_parts = []
-    for block in blocks:
-        triples = emit_triples(block, spec=spec, token_split_pattern=pattern)
-        if triples.num_rows == 0:
-            continue
-        term_col = triples["term"]
-        if isinstance(term_col, pa.ChunkedArray):
-            term_col = term_col.combine_chunks()
-        d = term_col.dictionary_encode()
-        idx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        doc_ids = triples["doc_id"].to_numpy(zero_copy_only=False)
-        pkey, _salt, gkey = post_mod.compute_keys(
-            d.dictionary.to_pylist(), idx, doc_ids.astype(np.int64),
-            hot, num_partitions, id_space_max)
-        keep = ~np.isin(pkey, np.fromiter(done_pkeys, dtype=np.int32)) \
-            if done_pkeys else None
-        # slim exchange payload: dictionary-encoded term + the three data
-        # columns; pkey/salt are recomputed at the encode side (cheaper to
-        # recompute per unique term than to ship 12 bytes per row)
-        slim = pa.table({
-            "term": d,
-            "doc_id": triples["doc_id"],
-            "tf": triples["tf"],
-            "dl": triples["dl"],
-            "gkey": pa.array(gkey % num_groups, pa.int32()),
-        })
-        if keep is not None:
-            slim = slim.filter(pa.array(keep))
-        keyed_parts.append(slim)
-    if not keyed_parts:
-        empty = pa.table({
-            "term": pa.array([], pa.string()).dictionary_encode(),
-            "doc_id": pa.array([], pa.int64()),
-            "tf": pa.array([], pa.int32()),
-            "dl": pa.array([], pa.int32()),
-            "gkey": pa.array([], pa.int32()),
-        })
-        return [empty.drop_columns(["gkey"])] * num_groups
-    keyed = pa.concat_tables(keyed_parts, promote_options="default") \
-        if len(keyed_parts) > 1 else keyed_parts[0]
-    parts = _split_by_key(keyed, "gkey", num_groups)
-    return [p.drop_columns(["gkey"]) for p in parts]
-
-
-@ray.remote
-def _encode_partition(block_size: int,
-                      num_partitions: int, hot: dict[str, int],
-                      id_space_max: int, *parts: pa.Table) -> list[pa.Table]:
-    """all of one gkey's triples -> encoded (term, salt) runs -> P
-    sub-tables of runs (one per pkey) for the merge exchange.
-
-    Rebuilds the (pkey, salt) columns the run encoder expects from the
-    slim exchange payload (term dictionary + doc_id)."""
-    from onestools_eventlog_ray.functions.runtime import pin_worker_threads
-    pin_worker_threads()
-    parts = [p for p in parts if p.num_rows]
-    if not parts:
-        empty = post_mod.RUN_SCHEMA.empty_table()
-        return [empty] * num_partitions
-    group = pa.concat_tables(parts, promote_options="default").combine_chunks()
-    term_col = group["term"]
-    if isinstance(term_col, pa.ChunkedArray):
-        term_col = term_col.combine_chunks()
-    if pa.types.is_dictionary(term_col.type):
-        term_plain = term_col.cast(pa.string())
-    else:
-        term_plain = term_col
-    d = term_plain.dictionary_encode()
-    idx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-    doc_ids = group["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    pkey, salt, _gkey = post_mod.compute_keys(
-        d.dictionary.to_pylist(), idx, doc_ids, hot,
-        num_partitions, id_space_max)
-    full = pa.table({
-        "term": term_plain,
-        "doc_id": group["doc_id"],
-        "tf": group["tf"],
-        "dl": group["dl"],
-        "pkey": pa.array(pkey, pa.int32()),
-        "salt": pa.array(salt, pa.int32()),
-    })
-    runs = post_mod.make_encode_runs(block_size)(full)
-    return _split_by_key(runs, "pkey", num_partitions)
-
-
-@ray.remote
-def _merge_partition(index_dir: str, fingerprint: str,
-                     reencode_block_size: int | None,
+def _merge_partition(index_dir: str, fingerprint: str, block_size: int,
                      *parts: pa.Table) -> dict:
     """all of one pkey's runs -> spliced postings -> shard + checkpoint."""
     from onestools_eventlog_ray.functions.runtime import pin_worker_threads
@@ -162,60 +64,63 @@ def _merge_partition(index_dir: str, fingerprint: str,
         return {}
     group = pa.concat_tables(parts).combine_chunks()
     out = post_mod.make_merge_and_write(index_dir, fingerprint,
-                                        reencode_block_size)(group)
+                                        block_size)(group)
     return out.to_pylist()[0]
 
 
 @ray.remote
 def _map_combined(spec, pattern: str, num_partitions: int, num_groups: int,
-                  salt_ranges: int, store_content: bool, docstore_dir: str,
+                  salt_ranges: int, store_content: bool,
+                  docstore_dir: str | None, done_pkeys: frozenset,
                   *blocks: pa.Table) -> list:
-    """Single-pass map task: corpus blocks -> docstore part files (side
-    effect) + stats partial + G slim triple sub-tables.
+    """Map task: corpus blocks -> docstore part files (side effect, skipped
+    when ``docstore_dir`` is None) + stats partial + G slim triple
+    sub-tables, minus the rows of partitions in ``done_pkeys``.
 
-    Salting here is UNIVERSAL and prepass-free: salt = the doc_id's top
+    Salting is UNIVERSAL and prepass-free: salt = the doc_id's top
     ``log2(salt_ranges)`` bits, so any term's rows spread over at most
-    ``salt_ranges`` build groups without knowing df — the fan-out the
-    sampled hot map provides in the two-pass path.  Returns
+    ``salt_ranges`` build groups without knowing df.  Returns
     ``[G sub-tables..., stats_table]``."""
     from onestools_eventlog_ray.functions.runtime import pin_worker_threads
     pin_worker_threads()
     import pyarrow.parquet as pq
     from onestools_eventlog_ray.functions.analyzer import doc_term_table
-    from onestools_eventlog_ray.functions.hashing import rollup_acc, sha256_hex
+    from onestools_eventlog_ray.functions.hashing import (rollup_acc,
+                                                          sha256_hex,
+                                                          term_partition)
     from onestools_eventlog_ray.state.checkpoint import atomic_write_bytes
     from onestools_eventlog_ray.stages.normalize import add_doc_id
 
     shift = np.int64(63 - int(np.log2(salt_ranges))) if salt_ranges > 1 else None
+    done_arr = np.fromiter(done_pkeys, dtype=np.int64)
     slim_parts = []
     stat_rows = {"n_docs": 0, "total_tokens": 0, "max_doc_id": -1, "acc": 0}
     for block in blocks:
         b = add_doc_id(block, spec)
         triples, doc_stats = doc_term_table(b["doc_id"], b["content"], pattern)
 
-        # ---- docstore part (tokenized exactly once, n_tokens from stats)
+        # ---- stats partial + docstore part (tokenized exactly once) -----
         sha = sha256_hex(b["content"])
-        ids_np0 = b["doc_id"].to_numpy(zero_copy_only=False)
-        acc = rollup_acc(sha, ids_np0)
-        cols = {"doc_id": b["doc_id"]}
-        for c in spec.meta_cols:
-            cols[c] = block[c]
-        cols["n_tokens"] = doc_stats["n_tokens"]
-        cols["content_sha256"] = sha
-        if store_content:
-            cols["content"] = b["content"]
-        out = pa.table(cols)
-        if out.num_rows:
-            dmin, dmax = int(ids_np0.min()), int(ids_np0.max())
+        ids_np = b["doc_id"].to_numpy(zero_copy_only=False)
+        acc = rollup_acc(sha, ids_np)
+        if docstore_dir is not None and ids_np.size:
+            cols = {"doc_id": b["doc_id"]}
+            for c in spec.meta_cols:
+                cols[c] = block[c]
+            cols["n_tokens"] = doc_stats["n_tokens"]
+            cols["content_sha256"] = sha
+            if store_content:
+                cols["content"] = b["content"]
+            out = pa.table(cols)
+            dmin, dmax = int(ids_np.min()), int(ids_np.max())
             atomic_write_bytes(
                 f"{docstore_dir}/part-{out.num_rows:08d}"
                 f"-{dmin:016x}-{dmax:016x}-{acc:016x}.parquet",
                 lambda tmp: pq.write_table(out, tmp, compression="zstd",
                                            compression_level=1))
-        stat_rows["n_docs"] += out.num_rows
+        stat_rows["n_docs"] += ids_np.size
         stat_rows["total_tokens"] += int(
             doc_stats["n_tokens"].to_numpy(zero_copy_only=False).sum())
-        ids_np = b["doc_id"].to_numpy(zero_copy_only=False)
         if ids_np.size:
             stat_rows["max_doc_id"] = max(stat_rows["max_doc_id"],
                                           int(ids_np.max()))
@@ -229,7 +134,6 @@ def _map_combined(spec, pattern: str, num_partitions: int, num_groups: int,
             d = term_col.dictionary_encode()
             idx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
             uniq = d.dictionary.to_pylist()
-            from onestools_eventlog_ray.functions.hashing import term_partition
             doc_np = triples["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
             if shift is not None:
                 salt = (doc_np >> shift).astype(np.int64)
@@ -238,13 +142,17 @@ def _map_combined(spec, pattern: str, num_partitions: int, num_groups: int,
                         % num_groups).astype(np.int32)
             else:
                 gkey = (term_partition(uniq, num_groups)[idx]).astype(np.int32)
-            slim_parts.append(pa.table({
+            slim = pa.table({
                 "term": d,
                 "doc_id": triples["doc_id"],
                 "tf": triples["tf"],
                 "dl": triples["dl"],
                 "gkey": pa.array(gkey, pa.int32()),
-            }))
+            })
+            if done_arr.size:
+                keep = ~np.isin(term_partition(uniq, num_partitions), done_arr)
+                slim = slim.filter(pa.array(keep[idx]))
+            slim_parts.append(slim)
 
     stats_tbl = pa.table({
         "n_docs": pa.array([stat_rows["n_docs"]], pa.int64()),
@@ -270,8 +178,9 @@ def _map_combined(spec, pattern: str, num_partitions: int, num_groups: int,
 @ray.remote
 def _encode_partition_ranged(block_size: int, num_partitions: int,
                              salt_ranges: int, *parts: pa.Table) -> list[pa.Table]:
-    """Encode stage for the single-pass path: salt = doc-range bits
-    (recomputed from doc_id — never shipped)."""
+    """all of one gkey's triples -> encoded (term, salt) runs -> P
+    sub-tables of runs (one per pkey); salt = doc-range bits, recomputed
+    from doc_id (never shipped)."""
     from onestools_eventlog_ray.functions.runtime import pin_worker_threads
     pin_worker_threads()
     parts = [p for p in parts if p.num_rows]
@@ -332,19 +241,24 @@ def pick_salt_ranges(cfg, n_docs_est: int | None) -> int:
 
 
 def build_combined_exchange(corpus_ds, spec, cfg, index_dir: str,
-                            docstore_dir: str,
-                            n_docs_est: int | None = None) -> tuple[list[dict], dict]:
-    """Single-pass full build: ONE corpus read produces the docstore,
-    the corpus stats AND the posting shards.  Returns (manifest rows,
-    folded stats).  Full builds only — resume takes the two-pass path
-    (done-partition filtering needs a validated fingerprint, which only
-    exists after stats fold)."""
+                            salt_ranges: int, on_stats,
+                            docstore_dir: str | None = None,
+                            done_pkeys: frozenset = frozenset()
+                            ) -> tuple[list[dict], dict]:
+    """Run the exchange over ``corpus_ds``: ONE corpus read produces the
+    corpus stats and the posting shards of every partition not in
+    ``done_pkeys`` (plus the docstore when ``docstore_dir`` is given).
+
+    ``on_stats(stats)`` is called with the folded corpus stats once every
+    map task has finished and BEFORE any merge is submitted: a full
+    build commits its stats manifest and docstore marker there, a resume
+    checks the fingerprint (raising stops the build before any shard is
+    written).  Returns (manifest rows of the merged partitions, stats)."""
     from onestools_eventlog_ray.stages import stats as stats_mod
 
     P = cfg.num_partitions
     ncpu = int(ray.cluster_resources().get("CPU", 4))
     G = int(min(max(P, 2 * ncpu), 4 * P))
-    S = pick_salt_ranges(cfg, n_docs_est)
 
     # Bundle ~TARGET_ROWS docs per map task: the exchange's object count
     # is (map tasks x (G+1)); too many small map tasks floods the driver
@@ -360,8 +274,8 @@ def build_combined_exchange(corpus_ds, spec, cfg, index_dir: str,
 
     def _launch(blocks):
         map_out.append(_map_combined.options(num_returns=G + 1).remote(
-            spec, cfg.token_split_pattern, P, G, S,
-            cfg.store_content, docstore_dir, *blocks))
+            spec, cfg.token_split_pattern, P, G, salt_ranges,
+            cfg.store_content, docstore_dir, done_pkeys, *blocks))
 
     for bundle in corpus_ds.iter_internal_ref_bundles():
         for block_ref, meta in zip(bundle.block_refs, bundle.metadata):
@@ -375,14 +289,12 @@ def build_combined_exchange(corpus_ds, spec, cfg, index_dir: str,
 
     # Codec v3 needs no corpus stats at encode time: submit the encode
     # wave IMMEDIATELY (each task starts the moment its inputs exist)
-    # and fold the stats partials on the driver WHILE encodes run — the
-    # round-1 stats barrier (every encode waiting on the driver's fold
-    # loop) is gone.
+    # and fold the stats partials on the driver WHILE encodes run.
     import time as _time
     t_submit = _time.monotonic()
     enc_out = [
         _encode_partition_ranged.options(num_returns=P).remote(
-            cfg.block_size, P, S, *[m[g] for m in map_out])
+            cfg.block_size, P, salt_ranges, *[m[g] for m in map_out])
         for g in range(G)
     ]
     stats_rows = []
@@ -390,13 +302,13 @@ def build_combined_exchange(corpus_ds, spec, cfg, index_dir: str,
         t = ray.get(m[G])
         stats_rows.extend(t.to_pylist())
     stats = stats_mod.fold_stats(stats_rows)
-    stats["salt_ranges_used"] = S
     t_maps_done = _time.monotonic()           # all map stats fetched
+    on_stats(stats)
     merge_refs = [
         _merge_partition.remote(
             index_dir, stats["fingerprint"], cfg.block_size,
             *[e[p] for e in enc_out])
-        for p in range(P)
+        for p in range(P) if p not in done_pkeys
     ]
     # phase observability (the raw-Ray analog of ds.stats()): encode
     # completion = all encode outputs exist; waiting on them does not
@@ -412,47 +324,3 @@ def build_combined_exchange(corpus_ds, spec, cfg, index_dir: str,
         "merge_after_encode": round(t_merge_done - t_enc_done, 3),
     }
     return rows, stats
-
-
-def build_postings_exchange(corpus_ds, spec, cfg, stats: dict,
-                            hot: dict[str, int], index_dir: str,
-                            done_pkeys: frozenset) -> list[dict]:
-    """Run pass B via the explicit exchange.  ``corpus_ds`` is the
-    column-pruned corpus Dataset; its blocks are consumed as object refs
-    (zero extra copy — the read stage still streams through Ray Data).
-    Returns the per-partition manifest rows."""
-    P = cfg.num_partitions
-    ncpu = int(ray.cluster_resources().get("CPU", 4))
-    G = int(min(P, max(8, 2 * ncpu)))     # build-group fan (see _map_partition)
-
-    # Stream the (lazy) column-pruned read: only block REFS reach the
-    # driver, and map tasks launch as soon as their blocks exist, so the
-    # read and the tokenize/partition phase overlap.
-    map_out = []
-    pending: list = []
-    for bundle in corpus_ds.iter_internal_ref_bundles():
-        pending.extend(bundle.block_refs)
-        while len(pending) >= 2:
-            map_out.append(_map_partition.options(num_returns=G).remote(
-                spec, cfg.token_split_pattern, hot, P, G,
-                stats["max_doc_id"], done_pkeys, *pending[:2]))
-            pending = pending[2:]
-    if pending:
-        map_out.append(_map_partition.options(num_returns=G).remote(
-            spec, cfg.token_split_pattern, hot, P, G,
-            stats["max_doc_id"], done_pkeys, *pending))
-
-    # transpose: encode task g consumes column g of the map outputs
-    enc_out = [
-        _encode_partition.options(num_returns=P).remote(
-            cfg.block_size, P,
-            hot, stats["max_doc_id"], *[m[g] for m in map_out])
-        for g in range(G)
-    ]
-    merge_refs = [
-        _merge_partition.remote(index_dir, stats["fingerprint"], None,
-                                *[e[p] for e in enc_out])
-        for p in range(P) if p not in done_pkeys
-    ]
-    rows = ray.get(merge_refs)
-    return [r for r in rows if r]

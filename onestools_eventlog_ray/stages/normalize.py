@@ -1,11 +1,9 @@
-"""Docstore preparation stage — normalize + hash + id-assign.
-
-The analog of the reference's parse/normalize projection
-(``/root/reference/OneSTools.EventLog/LgpReader.cs:102-176``) plus its
-serial id assignment (``EventLogReader.cs:105-106``), re-expressed as a
-stateless vectorized ``map_batches`` transform: Arrow batch in, docstore
-batch out, no cross-batch state, so Ray can run any number of copies in
-parallel with deterministic output.
+"""Doc-id assignment — the analog of the reference's serial id assignment
+(``OneSTools.EventLog/EventLogReader.cs:105-106``),
+re-expressed as a stateless vectorized Arrow transform: batch in,
+(doc_id, content) out, no cross-batch state, so any number of copies
+run in parallel with deterministic output.  The docstore projection
+itself is written by the build's map task (stages/exchange.py).
 """
 
 from __future__ import annotations
@@ -13,161 +11,15 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from onestools_eventlog_ray.functions.analyzer import tokenize_array
-from onestools_eventlog_ray.functions.hashing import doc_id_from_keys, sha256_hex
+from onestools_eventlog_ray.functions.hashing import doc_id_from_keys
 from onestools_eventlog_ray.sources.corpus import CorpusSpec
 
 
-class PrepareDocs:
-    """batch(corpus) -> batch(docstore): doc_id + content_sha256 + n_tokens.
-
-    ``content_sha256`` is the per-row audit invariant (``input_hint``);
-    ``n_tokens`` feeds the corpus-stats rollup (N, avgdl) without keeping
-    token payloads around.
-    """
-
-    def __init__(self, spec: CorpusSpec, token_split_pattern: str,
-                 store_content: bool = True):
-        self.spec = spec
-        self.pattern = token_split_pattern
-        self.store_content = store_content
-
-    def prepare(self, batch: pa.Table) -> pa.Table:
-        spec = self.spec
-        content = batch[spec.content_col]
-        if spec.id_col:
-            doc_id = pc.cast(batch[spec.id_col], pa.int64())
-        else:
-            doc_id = doc_id_from_keys(*[batch[c] for c in spec.key_cols])
-        # token COUNT without materializing token lists: count matches of
-        # the complement pattern (identical by definition to the number of
-        # non-empty split tokens; ~2x cheaper than split + list lengths)
-        match_pattern = _match_pattern_of(self.pattern)
-        if match_pattern is not None:
-            n_tokens = pc.cast(pc.count_substring_regex(
-                pc.utf8_lower(content), pattern=match_pattern), pa.int64())
-        else:
-            n_tokens = pc.cast(pc.list_value_length(
-                tokenize_array(content, self.pattern)), pa.int64())
-        cols: dict[str, pa.Array | pa.ChunkedArray] = {"doc_id": doc_id}
-        for c in spec.meta_cols:
-            cols[c] = batch[c]
-        cols["n_tokens"] = n_tokens
-        cols["content_sha256"] = sha256_hex(content)
-        if self.store_content:
-            cols["content"] = content
-        return pa.table(cols)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return self.prepare(batch)
-
-
-def _match_pattern_of(split_pattern: str) -> str | None:
-    """``[^X]+`` split pattern -> ``[X]+`` token-match pattern (None when
-    the split pattern is not of that complemented-class form)."""
-    if split_pattern.startswith("[^") and split_pattern.endswith("]+"):
-        return "[" + split_pattern[2:-2] + "]+"
-    return None
-
-
 def add_doc_id(batch: pa.Table, spec: CorpusSpec) -> pa.Table:
-    """Lightweight variant for the tokenize pass: only (doc_id, content)."""
+    """corpus batch -> (doc_id, content): the spec's id column cast to
+    int64, else the deterministic 63-bit hash of its key columns."""
     if spec.id_col:
         doc_id = pc.cast(batch[spec.id_col], pa.int64())
     else:
         doc_id = doc_id_from_keys(*[batch[c] for c in spec.key_cols])
     return pa.table({"doc_id": doc_id, "content": batch[spec.content_col]})
-
-
-class DocstoreSink(PrepareDocs):
-    """Fused pass-A stage: prepares the docstore batch, WRITES it as a
-    parquet part file itself (custom-sink pattern), and emits one tiny
-    partial row: corpus stats rollup + the batch's top local-df terms
-    (hot-term candidates for salting).
-
-    One corpus read replaces the previous docstore-write + stats-read +
-    hot-sample passes.  Idempotent under Ray task retries: the part-file
-    name is derived from the batch's content rollup and committed via
-    tmp + atomic rename, so a re-executed task rewrites the same file.
-    """
-
-    TOP_CANDIDATES = 64
-    CANDIDATE_SAMPLE = 8     # compute candidates on 1-in-K batches
-
-    def __init__(self, spec: CorpusSpec, token_split_pattern: str,
-                 store_content: bool, docstore_dir: str):
-        super().__init__(spec, token_split_pattern, store_content)
-        self.docstore_dir = docstore_dir
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        import numpy as np
-        import pyarrow.parquet as pq
-        from onestools_eventlog_ray.state.checkpoint import atomic_write_bytes
-
-        from onestools_eventlog_ray.functions.hashing import rollup_acc
-
-        out = self.prepare(batch)
-
-        # ---- stats rollup (commutative, retry/ordering independent) ---
-        n = out.num_rows
-        n_tokens = out["n_tokens"].to_numpy(zero_copy_only=False)
-        doc_ids = out["doc_id"].to_numpy(zero_copy_only=False)
-        acc = rollup_acc(out["content_sha256"], doc_ids)
-
-        # ---- deterministic idempotent part file ------------------------
-        # name carries the batch's doc_id [min, max] so stored-fields
-        # fetches can prune parts by range without opening them
-        if n:
-            dmin, dmax = int(doc_ids.min()), int(doc_ids.max())
-            fname = f"part-{n:08d}-{dmin:016x}-{dmax:016x}-{acc:016x}.parquet"
-            atomic_write_bytes(f"{self.docstore_dir}/{fname}",
-                               lambda tmp: pq.write_table(out, tmp,
-                                                          compression="zstd",
-                                                          compression_level=1))
-
-        # ---- hot-term candidates: top local-df terms of this batch -----
-        # Sampled 1-in-8 batches (deterministic on the batch's content
-        # rollup): a genuinely hot term (df ~ N) appears in virtually
-        # every batch, so an 1/8 batch sample still sees it everywhere;
-        # the fold scales estimates back up.  Saves ~half of pass A's CPU
-        # (the two Acero group_bys below cost as much as tokenizing).
-        if acc % self.CANDIDATE_SAMPLE == 0:
-            # tokenize only the sampled batches (lazy — the stats path
-            # above counts tokens without building lists)
-            toks = tokenize_array(batch[self.spec.content_col], self.pattern)
-            flat = toks.flatten()
-            parents = pc.list_parent_indices(toks)
-            uniq_pairs = pa.table({"parent": parents, "term": flat}) \
-                .group_by(["parent", "term"]).aggregate([])
-            local_df = uniq_pairs.group_by("term").aggregate([("parent", "count")])
-            terms = local_df["term"].to_pylist()
-            dfs = local_df["parent_count"].to_numpy(zero_copy_only=False).astype(np.int64)
-            dfs = dfs * self.CANDIDATE_SAMPLE      # scale the 1/K sample up
-            top = np.argsort(-dfs, kind="stable")[:self.TOP_CANDIDATES]
-            top = top[dfs[top] >= 2]
-        else:
-            terms = []
-            dfs = np.empty(0, dtype=np.int64)
-            top = np.empty(0, dtype=np.int64)
-
-        return pa.table({
-            "n_docs": pa.array([n], pa.int64()),
-            "total_tokens": pa.array([int(n_tokens.sum())], pa.int64()),
-            "max_doc_id": pa.array([int(doc_ids.max()) if n else -1], pa.int64()),
-            "sha_xor": pa.array([np.int64(acc - (1 << 63))], pa.int64()),
-            "cand_terms": pa.array([[terms[i] for i in top]],
-                                   pa.list_(pa.string())),
-            "cand_dfs": pa.array([[int(dfs[i]) for i in top]],
-                                 pa.list_(pa.int64())),
-        })
-
-
-def docstore_sink(batch: pa.Table, *, spec: CorpusSpec, token_split_pattern: str,
-                  store_content: bool, docstore_dir: str) -> pa.Table:
-    """Stateless-task form of :class:`DocstoreSink` (no heavy per-worker
-    state; plain tasks reuse prestarted workers across stages instead of
-    paying an actor-pool spin-up per stage)."""
-    from onestools_eventlog_ray.functions.runtime import pin_worker_threads
-    pin_worker_threads()
-    return DocstoreSink(spec, token_split_pattern, store_content,
-                        docstore_dir)(batch)

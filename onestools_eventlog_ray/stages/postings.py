@@ -1,22 +1,25 @@
-"""Posting-build stages: shard/salt assignment, run encoding, salted-run merge.
+"""Posting-build stages: run encoding and salted-run merge.
 
-THE wide operation of the engine (SURVEY.md §2.6 A1, §7.3): the
-``groupby`` that co-locates each term's (doc_id, tf, dl) rows.  Zipf-hot
-terms (``def``, ``the``, license boilerplate) have df ≈ N, so a naive
-``groupby(term)`` would put a whole-corpus-sized group on one task — the
-skew called out by the north_rule.  Handling:
+THE wide operation of the engine (SURVEY.md §2.6 A1, §7.3) co-locates
+each term's (doc_id, tf, dl) rows.  Zipf-hot terms (``def``, ``the``,
+license boilerplate) have df ≈ N, so grouping by term alone would put a
+whole-corpus-sized group on one task — the skew called out by the
+north_rule.  The exchange (stages/exchange.py) handles it without any
+df estimate:
 
-- every triple gets ``pkey = blake2b(term) % P`` (its final shard);
-- a HOT term (estimated df > salt_threshold) is additionally split into
-  ``n_salts`` runs by **doc_id range** (``salt = doc_id // range_width``)
-  and its build-group key ``gkey`` becomes ``hash(term, salt) % G`` so
-  the runs land on different tasks;
-- each run is encoded independently into the block codec; because salts
-  are doc_id RANGES, a term's runs cover disjoint ascending id ranges,
-  so the final merge (grouped by ``pkey``) is a header splice
-  (``codec.concat_postings``) — no decode/re-encode of hot terms.
+- every triple's final shard is ``pkey = md5(term) % P``;
+- every term is split into runs by **doc_id range** (salt = the
+  doc_id's top ``log2(S)`` bits) and its build group is
+  ``hash(term, salt) % G``, so a hot term's runs encode on different
+  tasks;
+- each run is encoded independently into the block codec
+  (``make_encode_runs``); because salts are doc_id RANGES, a term's runs
+  cover disjoint ascending id ranges, so the merge grouped by ``pkey``
+  (``make_merge_and_write``) is a header splice
+  (``codec.concat_postings``), except that small fragmented postings
+  are re-encoded into one.
 
-Equivalence of salted and unsalted builds is property-tested
+Postings are equal for every salt fan-out
 (tests/test_salt_equivalence.py).
 """
 
@@ -27,11 +30,9 @@ import time
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from onestools_eventlog_ray.functions import codec
-from onestools_eventlog_ray.functions.hashing import term_partition
 from onestools_eventlog_ray.state import checkpoint as ckpt
 
 RUN_SCHEMA = pa.schema([
@@ -44,94 +45,11 @@ RUN_SCHEMA = pa.schema([
 ])
 
 
-def compute_keys(uniq: list[str], idx: np.ndarray, doc_ids: np.ndarray,
-                 hot: dict[str, int], P: int, id_space_max: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Shared key computation: per-row (pkey, salt, gkey) from the batch's
-    dictionary-encoded terms.  pkey = blake2b(term) % P; hot terms get a
-    doc_id-RANGE salt and gkey = blake2b(term#salt) % P so their runs
-    build on different tasks (cold terms: salt 0, gkey == pkey)."""
-    upkey = term_partition(uniq, P)
-    pkey = upkey[idx].astype(np.int32)
-    salt = np.zeros(idx.size, dtype=np.int32)
-    gkey = pkey.copy()
-    if hot:
-        width_cache: dict[int, int] = {}
-        for u_i, t in enumerate(uniq):
-            s = hot.get(t)
-            if not s or s <= 1:
-                continue
-            rows = np.flatnonzero(idx == u_i)
-            width = width_cache.setdefault(s, (max(id_space_max, 0) // s) + 1)
-            tsalt = (doc_ids[rows] // width).astype(np.int32)
-            salt[rows] = tsalt
-            usalts = np.unique(tsalt)
-            gk = term_partition([f"{t}#{v}" for v in usalts], P)
-            gkey[rows] = gk[np.searchsorted(usalts, tsalt)].astype(np.int32)
-    return pkey, salt, gkey
-
-
-class AssignShard:
-    """triples -> triples + (pkey, salt, gkey).
-
-    Stateful actor-pool stage: the hot-term map ``{term: n_salts}`` is
-    broadcast once via ``ray.put`` and fetched once per actor in
-    ``__init__`` (broadcast-small-side lookup — the J1 pattern,
-    ``/root/reference/OneSTools.EventLog/LgfReader.cs:102-115``), never
-    re-shipped per batch.  Term hashing runs over the batch's UNIQUE
-    terms via dictionary encoding, not per row.
-    """
-
-    def __init__(self, hot_ref, num_partitions: int, id_space_max: int,
-                 done_pkeys: frozenset[int] = frozenset()):
-        import ray
-        self.hot: dict[str, int] = ray.get(hot_ref) if hot_ref is not None else {}
-        self.P = num_partitions
-        self.id_space_max = max(int(id_space_max), 0)
-        self.done = done_pkeys
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return batch.append_column("pkey", pa.array([], pa.int32())) \
-                        .append_column("salt", pa.array([], pa.int32())) \
-                        .append_column("gkey", pa.array([], pa.int32()))
-        term_col = batch["term"]
-        if isinstance(term_col, pa.ChunkedArray):
-            term_col = term_col.combine_chunks()
-        dict_arr = term_col.dictionary_encode()
-        uniq = dict_arr.dictionary.to_pylist()
-        idx = dict_arr.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        pkey, salt, gkey = compute_keys(uniq, idx, doc_ids, self.hot,
-                                        self.P, self.id_space_max)
-        out = batch.append_column("pkey", pa.array(pkey, pa.int32())) \
-                   .append_column("salt", pa.array(salt, pa.int32())) \
-                   .append_column("gkey", pa.array(gkey, pa.int32()))
-        if self.done:
-            keep = ~np.isin(pkey, np.fromiter(self.done, dtype=np.int32))
-            out = out.filter(pa.array(keep))
-        return out
-
-
-def assign_shard(batch: pa.Table, *, hot_ref, num_partitions: int,
-                 id_space_max: int, done_pkeys: frozenset[int]) -> pa.Table:
-    """Stateless-task form of :class:`AssignShard`: the broadcast hot map
-    is a ``ray.put`` ref fetched with a local object-store hit per task
-    (cached in the worker's plasma client after the first fetch)."""
-    import ray
-    hot = ray.get(hot_ref) if hot_ref is not None else {}
-    stage = AssignShard.__new__(AssignShard)
-    stage.hot = hot
-    stage.P = num_partitions
-    stage.id_space_max = max(int(id_space_max), 0)
-    stage.done = done_pkeys
-    return stage(batch)
-
-
 def make_encode_runs(block_size: int):
-    """map_groups(fn) over ``gkey``: encode every (term, salt) run in the
-    group.  Codec v3 stores (max_tf, min_dl) block bounds, so encoding
-    needs NO corpus stats — encode tasks never wait on the stats fold."""
+    """Encoder for one build group's triples: encode every (term, salt)
+    run in the group.  Codec v3 stores (max_tf, min_dl) block bounds, so
+    encoding needs NO corpus stats — encode tasks never wait on the stats
+    fold."""
 
     def encode_runs(group: pa.Table) -> pa.Table:
         from onestools_eventlog_ray.functions.runtime import \
@@ -177,15 +95,15 @@ def make_encode_runs(block_size: int):
 
 
 def make_merge_and_write(index_dir: str, fingerprint: str,
-                         reencode_block_size: int | None = None):
-    """map_groups(fn) over ``pkey``: splice each term's salted runs into one
-    posting, write the shard parquet atomically, emit the checkpoint
-    record (lineage + metrics) for the partition.
+                         reencode_block_size: int):
+    """Merger for one partition's runs: splice each term's salted runs
+    into one posting, write the shard parquet atomically, emit the
+    checkpoint record (lineage + metrics) for the partition.
 
-    ``reencode_block_size`` enables re-encoding a term's runs into one
-    fresh posting when the term is SMALL but fragmented (metadata bloat
-    from universal fixed-range salting: min(df, S) runs each with their
-    own block headers); large terms still merge by zero-copy header
+    A term that is SMALL but fragmented (metadata bloat from universal
+    fixed-range salting: min(df, S) runs each with their own block
+    headers) is re-encoded into one fresh posting with
+    ``reencode_block_size``; large terms merge by zero-copy header
     splice."""
 
     def merge_and_write(group: pa.Table) -> pa.Table:
@@ -225,8 +143,7 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
             out_df.append(df_total)
             out_cf.append(int(cfr[rows].sum()))
             run_blobs = [blobs[r] for r in rows]
-            if (reencode_block_size is not None and len(run_blobs) > 1
-                    and df_total < 64 * reencode_block_size):
+            if len(run_blobs) > 1 and df_total < 64 * reencode_block_size:
                 # small fragmented posting (universal range salting):
                 # queue it for ONE batched vectorized re-encode below
                 ps = [codec.decode_posting(rb) for rb in run_blobs]

@@ -20,7 +20,7 @@ def partial_stats(batch: pa.Table) -> pa.Table:
     """docstore batch -> one partial row (count, tokens, max id, sha xor).
 
     Uses the SAME vectorized doc_id-mixed rollup (``hashing.rollup_acc``)
-    as the build-time sinks (``stages/normalize.py`` / ``stages/exchange.py``)
+    as the build's map task (``stages/exchange.py``)
     so a fingerprint recomputed from the docstore after a lost stats
     manifest matches the one the build recorded — resume stays valid.
     """
@@ -52,19 +52,6 @@ def fold_stats(partials: list[dict]) -> dict:
         "max_doc_id": int(max_doc),
         "fingerprint": f"{n_docs}:{acc:016x}",
     }
-
-
-def fold_hot_candidates(partials: list[dict]) -> dict[str, int]:
-    """Fold the per-batch top-local-df candidate lists into global df
-    estimates.  Genuinely hot terms (df comparable to N) rank in the top
-    candidates of essentially every batch, so their estimate is near-exact;
-    an undercounted borderline term just gets fewer salts — the salted
-    build is correct for ANY salt assignment (tests/test_salt_equivalence)."""
-    df_est: dict[str, int] = {}
-    for p in partials:
-        for t, d in zip(p.get("cand_terms") or [], p.get("cand_dfs") or []):
-            df_est[t] = df_est.get(t, 0) + int(d)
-    return df_est
 
 
 def corpus_stats_from_docstore(docstore_path: str) -> dict:

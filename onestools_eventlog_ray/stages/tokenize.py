@@ -1,11 +1,7 @@
 """Tokenize stage — documents in, (term, doc_id, tf, dl) triples out.
 
-The hot map stage of the index build (SURVEY.md §7.1 step 3).  Shipped
-as a callable class so it runs as an actor pool
-(``map_batches(TripleEmitter, concurrency=N)``): per-actor setup (spec,
-pattern) happens once in ``__init__`` — the ST1 pattern of the
-reference's per-worker LGF dictionary cache
-(``/root/reference/OneSTools.EventLog/LgfReader.cs:18-25``).  The body is
+The Dataset-API form of the index build's tokenize step (SURVEY.md §7.1
+step 3), shared by the sparse and late-interaction builds.  The body is
 Arrow kernels + Acero group_by only.
 """
 
@@ -18,20 +14,9 @@ from onestools_eventlog_ray.sources.corpus import CorpusSpec
 from onestools_eventlog_ray.stages.normalize import add_doc_id
 
 
-class TripleEmitter:
-    def __init__(self, spec: CorpusSpec, token_split_pattern: str):
-        self.spec = spec
-        self.pattern = token_split_pattern
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        b = add_doc_id(batch, self.spec)
-        triples, _stats = doc_term_table(b["doc_id"], b["content"], self.pattern)
-        return triples
-
-
 def emit_triples(batch: pa.Table, *, spec: CorpusSpec,
                  token_split_pattern: str) -> pa.Table:
-    """Stateless-task form of :class:`TripleEmitter`.
+    """``map_batches`` UDF: corpus batch -> (term, doc_id, tf, dl) triples.
 
     There is no heavy per-worker state here (the pattern is a string), so
     plain tasks beat an actor pool: they reuse Ray's prestarted worker

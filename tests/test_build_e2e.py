@@ -17,7 +17,7 @@ from onestools_eventlog_ray.functions.hashing import doc_id_from_keys
 from onestools_eventlog_ray.pipelines.build import build_index, docstore_path
 from onestools_eventlog_ray.pipelines.query import SearchEngine, score_queries
 
-CFG = EngineConfig(num_partitions=8, tokenize_batch_size=128)
+CFG = EngineConfig(num_partitions=8)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,9 @@ ONLY those partitions and converge to identical postings and identical
 query results.
 """
 
+import glob
 import os
+import shutil
 
 import pytest
 
@@ -17,7 +19,7 @@ from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.state import checkpoint as ckpt
 from tests.test_salt_equivalence import _load_all_postings
 
-CFG = EngineConfig(num_partitions=8, tokenize_batch_size=64)
+CFG = EngineConfig(num_partitions=8)
 
 
 def test_resume_rebuilds_only_missing(tmp_path, small_corpus_dir, small_corpus):
@@ -48,6 +50,50 @@ def test_resume_rebuilds_only_missing(tmp_path, small_corpus_dir, small_corpus):
     for q in synth.reference_queries(small_corpus, n_queries=15):
         res = eng.search(q["terms"], q["k"])
         assert res == eng.search_wand(q["terms"], q["k"])
+
+
+def test_resume_after_crash_during_merges(tmp_path, small_corpus_dir):
+    """The docstore marker and stats manifest are committed before any
+    merge writes a shard, so a crash during the merges leaves docstore +
+    marker + stats.json and no shards/records.  The rerun must rebuild
+    every partition from one read WITHOUT rewriting the docstore."""
+    from onestools_eventlog_ray.pipelines.build import docstore_path
+    index_dir = str(tmp_path / "idx")
+    r1 = build_index(small_corpus_dir, index_dir, cfg=CFG)
+    before = _load_all_postings(index_dir)
+    dstore = docstore_path(index_dir)
+    marker = os.path.join(dstore, "_DOCSTORE_DONE")
+    shards = glob.glob(os.path.join(index_dir, "shards", "*.parquet"))
+    assert os.stat(marker).st_mtime_ns <= min(
+        os.stat(f).st_mtime_ns for f in shards)
+    parts = {f: os.stat(f).st_mtime_ns
+             for f in glob.glob(os.path.join(dstore, "*.parquet"))}
+
+    shutil.rmtree(os.path.join(index_dir, "shards"))
+    shutil.rmtree(ckpt.manifest_dir(index_dir))
+    r2 = build_index(small_corpus_dir, index_dir, cfg=CFG)
+    assert r2["resumed_partitions"] == 0
+    assert r2["fingerprint"] == r1["fingerprint"]
+    assert _load_all_postings(index_dir) == before
+    assert len(ckpt.done_partitions(index_dir, r1["fingerprint"])) == \
+        CFG.num_partitions
+    assert {f: os.stat(f).st_mtime_ns
+            for f in glob.glob(os.path.join(dstore, "*.parquet"))} == parts
+
+
+def test_resume_refuses_fingerprint_mismatch(tmp_path, small_corpus_dir):
+    """A resume whose read folds to a fingerprint other than the recorded
+    one must raise instead of splicing new shards next to old ones."""
+    index_dir = str(tmp_path / "idx")
+    build_index(small_corpus_dir, index_dir, cfg=CFG)
+    stats = ckpt.read_stats(index_dir)
+    ckpt.write_stats(index_dir, {**stats, "fingerprint": "0:0000000000000000"})
+    shards = {f: os.stat(f).st_mtime_ns for f in
+              glob.glob(os.path.join(index_dir, "shards", "*.parquet"))}
+    with pytest.raises(RuntimeError, match="fingerprint"):
+        build_index(small_corpus_dir, index_dir, cfg=CFG)
+    assert {f: os.stat(f).st_mtime_ns for f in
+            glob.glob(os.path.join(index_dir, "shards", "*.parquet"))} == shards
 
 
 def test_noop_resume_skips_everything(tmp_path, small_corpus_dir):
@@ -90,10 +136,9 @@ def test_lost_stats_manifest_recovers_same_fingerprint(tmp_path, small_corpus_di
 
 
 def test_interrupted_docstore_pass_leaves_no_duplicates(tmp_path, small_corpus_dir):
-    """A crash mid-pass-A leaves part files but no _DOCSTORE_DONE marker;
+    """A crash mid-map leaves part files but no _DOCSTORE_DONE marker;
     the rerun must wipe them (else the docstore holds duplicate docs and
     the corpus stats/fingerprint are wrong)."""
-    import glob
     import pyarrow.parquet as pq
     from onestools_eventlog_ray.pipelines.build import docstore_path
     index_dir = str(tmp_path / "idx")

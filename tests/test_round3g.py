@@ -19,7 +19,7 @@ from onestools_eventlog_ray.pipelines.query import (SearchEngine,
                                                     search_rescore)
 
 SF_DIR = "/root/testdata/sf0.001"
-CFG = EngineConfig(num_partitions=8, tokenize_batch_size=128)
+CFG = EngineConfig(num_partitions=8)
 
 
 def _tok(text):

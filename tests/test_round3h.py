@@ -170,7 +170,7 @@ def h_index(tmp_path_factory, small_corpus_dir):
     from onestools_eventlog_ray.pipelines.build import build_index
     index_dir = str(tmp_path_factory.mktemp("h_index"))
     build_index(small_corpus_dir, index_dir,
-                cfg=EngineConfig(num_partitions=8, tokenize_batch_size=128))
+                cfg=EngineConfig(num_partitions=8))
     return index_dir
 
 

@@ -900,7 +900,7 @@ def test_ltr_features_consistent_with_engine(ray_session, tmp_path_factory,
                                                         ltr_features)
     index_dir = str(tmp_path_factory.mktemp("ltr_index"))
     build_index(small_corpus_dir, index_dir,
-                cfg=EngineConfig(num_partitions=8, tokenize_batch_size=128))
+                cfg=EngineConfig(num_partitions=8))
     eng = SearchEngine(index_dir)
     terms = ["def", "import", "class"]
     feats = ltr_features(eng, terms).to_pandas().set_index("doc_id")

@@ -17,7 +17,7 @@ from onestools_eventlog_ray.state.tombstones import (
     PitInvalidError, clear_tombstones, delete_docs, load_tombstones_at,
     open_pit)
 
-CFG = EngineConfig(num_partitions=8, tokenize_batch_size=128)
+CFG = EngineConfig(num_partitions=8)
 
 
 @pytest.fixture(scope="module")

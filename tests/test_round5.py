@@ -25,7 +25,7 @@ from onestools_eventlog_ray.functions.bm25 import topk_order, topk_order_e6
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
 
-CFG = EngineConfig(num_partitions=4, tokenize_batch_size=64)
+CFG = EngineConfig(num_partitions=4)
 
 
 def _e6(scores):

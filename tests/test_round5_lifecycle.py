@@ -33,7 +33,7 @@ import pytest
 
 from onestools_eventlog_ray.config import EngineConfig
 
-CFG = EngineConfig(num_partitions=8, tokenize_batch_size=128)
+CFG = EngineConfig(num_partitions=8)
 MF_BOOSTS = {"text": 1.0, "source": 2.0}     # documents-table fields
 MF_TERMS = ["spark", "window", "vector"]
 ANN_DIM = 16

@@ -1,12 +1,16 @@
-"""Salted build == unsalted build (SURVEY.md §7.4 'Skew').
+"""The build's postings are correct and independent of the salt fan-out
+(SURVEY.md §7.4 'Skew').
 
-Forces the hot-term salting path on a small corpus (by injecting a hot
-map, as the sampler would for df > threshold at scale) and asserts the
-resulting shards decode to EXACTLY the postings of the unsalted build —
-the provable-equivalence requirement of the north_rule's skew handling.
+A default build is decoded shard by shard and compared with postings
+built in plain Python (``re.split`` + ``Counter``) from the corpus; an
+unsalted build (``salt_ranges=1``) and a widely salted one
+(``salt_ranges=16``) must decode to EXACTLY the same postings — the
+provable-equivalence requirement of the north_rule's skew handling.
 """
 
 import glob
+import re
+from collections import Counter, defaultdict
 
 import pyarrow.parquet as pq
 import pytest
@@ -16,8 +20,10 @@ from onestools_eventlog_ray.config import EngineConfig
 from onestools_eventlog_ray.functions import codec
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
+from onestools_eventlog_ray.sources.corpus import CODE_CORPUS_SPEC
+from onestools_eventlog_ray.stages.normalize import add_doc_id
 
-CFG = EngineConfig(num_partitions=8, tokenize_batch_size=64)
+CFG = EngineConfig(num_partitions=8)
 
 
 def _load_all_postings(index_dir):
@@ -31,21 +37,45 @@ def _load_all_postings(index_dir):
     return out
 
 
+def _reference_postings(corpus, pattern):
+    """term -> (df, cf, doc_ids, tfs, dls), one doc at a time in Python."""
+    ids = add_doc_id(corpus, CODE_CORPUS_SPEC)["doc_id"].to_pylist()
+    rows = defaultdict(list)
+    for doc_id, text in zip(ids, corpus["content"].to_pylist()):
+        toks = [t for t in re.split(pattern, text.lower()) if t]
+        for term, tf in Counter(toks).items():
+            rows[term].append((doc_id, tf, len(toks)))
+    out = {}
+    for term, r in rows.items():
+        r.sort()
+        out[term] = (len(r), sum(tf for _, tf, _ in r), [d for d, _, _ in r],
+                     [tf for _, tf, _ in r], [dl for _, _, dl in r])
+    return out
+
+
 @pytest.fixture(scope="module")
-def two_builds(tmp_path_factory, small_corpus_dir):
-    plain_dir = str(tmp_path_factory.mktemp("idx_plain"))
-    salted_dir = str(tmp_path_factory.mktemp("idx_salted"))
-    build_index(small_corpus_dir, plain_dir, cfg=CFG, hot_terms={})
-    # every lang keyword + license boilerplate term becomes hot with 4 salts
-    hot = {t: 4 for t in ["def", "import", "return", "the", "license",
-                          "copyright", "is", "as", "software"]}
-    build_index(small_corpus_dir, salted_dir, cfg=CFG, hot_terms=hot)
-    return plain_dir, salted_dir
+def builds(tmp_path_factory, small_corpus_dir):
+    dirs = {}
+    for name, cfg in (("default", CFG),
+                      ("unsalted", EngineConfig(num_partitions=8, salt_ranges=1)),
+                      ("salted", EngineConfig(num_partitions=8, salt_ranges=16))):
+        dirs[name] = str(tmp_path_factory.mktemp(f"idx_{name}"))
+        rep = build_index(small_corpus_dir, dirs[name], cfg=cfg)
+        assert rep["salt_ranges"] == cfg.salt_ranges
+    return dirs
 
 
-def test_salted_postings_identical(two_builds):
-    plain, salted = two_builds
-    pp, sp = _load_all_postings(plain), _load_all_postings(salted)
+def test_postings_match_reference(builds, small_corpus):
+    got = _load_all_postings(builds["default"])
+    want = _reference_postings(small_corpus, CFG.token_split_pattern)
+    assert got.keys() == want.keys()
+    for term in want:
+        assert got[term] == want[term], term
+
+
+def test_salted_postings_identical(builds):
+    pp = _load_all_postings(builds["unsalted"])
+    sp = _load_all_postings(builds["salted"])
     assert pp.keys() == sp.keys()
     for term in pp:
         assert pp[term] == sp[term], term
@@ -62,20 +92,18 @@ def test_pick_salt_ranges_floor_scale_cap():
     assert pick_salt_ranges(EngineConfig(salt_ranges=1), 10**9) == 1  # disabled
 
 
-def test_auto_salt_ranges_single_pass_equivalent(tmp_path, small_corpus_dir):
-    """Single-pass build with a widened auto fan-out (tiny salt_target_run
-    forces S up to max_salts on the 400-doc corpus) must produce
-    byte-identical postings to the default-S build."""
-    base_dir, auto_dir = str(tmp_path / "base"), str(tmp_path / "auto")
-    build_index(small_corpus_dir, base_dir, cfg=CFG)
+def test_auto_salt_ranges_equivalent(tmp_path, small_corpus_dir,
+                                                 builds):
+    """A widened auto fan-out (tiny salt_target_run forces S up to
+    max_salts on the 400-doc corpus) must produce the unsalted postings."""
+    auto_dir = str(tmp_path / "auto")
     cfg2 = EngineConfig(num_partitions=8, salt_target_run=20, max_salts=16)
     r = build_index(small_corpus_dir, auto_dir, cfg=cfg2)
-    assert r["single_pass"] and r["salt_ranges"] == 16
-    assert _load_all_postings(base_dir) == _load_all_postings(auto_dir)
+    assert r["salt_ranges"] == 16
+    assert _load_all_postings(builds["unsalted"]) == _load_all_postings(auto_dir)
 
 
-def test_salted_query_results_identical(two_builds, small_corpus):
-    plain, salted = two_builds
-    ep, es = SearchEngine(plain), SearchEngine(salted)
+def test_salted_query_results_identical(builds, small_corpus):
+    ep, es = SearchEngine(builds["unsalted"]), SearchEngine(builds["salted"])
     for q in synth.reference_queries(small_corpus, n_queries=30):
         assert ep.search(q["terms"], q["k"]) == es.search(q["terms"], q["k"])

@@ -98,7 +98,6 @@ def profile_scale(n_docs: int, stages_sel=("build", "dedup")) -> dict:
     import shutil
     shutil.rmtree(idx, ignore_errors=True)
     cfg = EngineConfig(num_partitions=64,
-                       salt_threshold=max(2000, n_docs // 4),
                        salt_target_run=max(1000, n_docs // 8))
 
     sampler = Sampler()
