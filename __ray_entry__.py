@@ -606,16 +606,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 [n_found * 1_000_000 // max(n_exact, 1)], pa.int64()),
         })
 
-    def bm25_topk_wand(sf_dir):
+    def bm25_topk_actor_pool(sf_dir):
         """Same oracle as bm25_topk, computed via the DISTRIBUTED
-        actor-pool scorer with block-max WAND — driver-checks the
-        headline block-skip path, not just TAAT."""
+        actor-pool scorer (``score_queries``) — driver-checks the
+        serving stage, not just the in-process engine."""
         from onestools_eventlog_ray.pipelines.query import score_queries
         index_dir = _ensure_index(sf_dir)
         rows = score_queries(index_dir,
                              [{"query_id": 0, "terms": _BM25_TERMS,
                                "k": 10}],
-                             use_wand=True, tie="e6").take_all()
+                             tie="e6").take_all()
         ids = np.asarray([r["doc_id"] for r in rows], dtype=np.int64)
         e6 = _score_e6(np.asarray([r["score"] for r in rows], dtype=np.float64))
         order = np.lexsort((ids, -e6))[:10]
@@ -4499,7 +4499,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "has_parent_orders": has_parent_orders,
         "diversified_sampler_langs": diversified_sampler_langs,
         "cosine_pairs_lsh": cosine_pairs_lsh,
-        "bm25_topk_wand": bm25_topk_wand,
+        "bm25_topk_actor_pool": bm25_topk_actor_pool,
         "bm25_topk_filtered": bm25_topk_filtered,
         "bm25_after_delete": bm25_after_delete,
         "bm25_multifield": bm25_multifield,
@@ -6181,8 +6181,8 @@ SELECT * FROM (
         "bm25_after_shrink": _bm25_sql(_BM25_TERMS),
         "bm25_after_split": _bm25_sql(_BM25_TERMS),
         "bm25_after_restore": _bm25_sql(_BM25_TERMS),
-        # the distributed actor-pool block-max WAND path must reproduce it too
-        "bm25_topk_wand": _bm25_sql(_BM25_TERMS),
+        # the distributed actor-pool scorer must reproduce it too
+        "bm25_topk_actor_pool": _bm25_sql(_BM25_TERMS),
         "bm25_topk_filtered": _bm25_filtered_sql(_BM25_TERMS, "lang = 'en'"),
         # tombstoned deletes: global stats, deleted ids gated out of results
         "bm25_after_delete": _bm25_filtered_sql(_BM25_TERMS,

@@ -165,8 +165,8 @@ def run_headline(clock: _StageClock) -> dict:
     # best-of-2 so shard page-cache warmup lands in the discarded trial
     n_hits = clock.run(
         "bm25_queries",
-        lambda: score_queries(index_dir, bench_queries(), use_wand=False,
-                              batch_size=2, impl="tasks").count(),
+        lambda: score_queries(index_dir, bench_queries(), batch_size=2,
+                              impl="tasks").count(),
         trials=2)
 
     t_build = clock.wall["index_build"]

@@ -11,7 +11,7 @@ of source-code repositories:
   posting shards with block-max metadata -> per-partition checkpoint
   manifest).
 - ``pipelines.query.SearchEngine`` — BM25 top-k over the shards
-  (TAAT exact scorer + block-max WAND).
+  (exhaustive TAAT scorer).
 - ``pipelines.text/dedup/similarity`` — training-data-pipeline
   operators (quality scoring, exact + MinHash-LSH dedup, brute-force /
   LSH ANN).

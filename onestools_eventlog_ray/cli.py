@@ -66,7 +66,6 @@ def main(argv: list[str] | None = None) -> int:
     s.add_argument("--index", required=True)
     s.add_argument("--terms", required=True, help="space-separated terms")
     s.add_argument("-k", type=int, default=10)
-    s.add_argument("--wand", action="store_true")
     s.add_argument("--generational", action="store_true",
                    help="treat --index as a generation root")
 
@@ -85,8 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     ss.add_argument("--index-root", required=True)
     ss.add_argument("--terms", required=True, help="space-separated terms")
     ss.add_argument("-k", type=int, default=10)
-    ss.add_argument("--wand", action="store_true",
-                    help="block-max WAND inside the shard workers")
     ss.add_argument("--replicas", type=int, default=1,
                     help="ShardWorker replicas per shard (failover)")
     ss.add_argument("--worker-cpus", type=float, default=1.0,
@@ -207,13 +204,9 @@ def main(argv: list[str] | None = None) -> int:
         from onestools_eventlog_ray.pipelines.query import SearchEngine
         from onestools_eventlog_ray.functions.analyzer import tokenize_py
         terms = tokenize_py(args.terms)     # analyze the query like the corpus
-        if args.generational:
-            eng = GenerationalSearchEngine(args.index)
-            hits = eng.search(terms, args.k)
-        else:
-            eng = SearchEngine(args.index)
-            fn = eng.search_wand if args.wand else eng.search
-            hits = fn(terms, args.k)
+        eng = GenerationalSearchEngine(args.index) if args.generational \
+            else SearchEngine(args.index)
+        hits = eng.search(terms, args.k)
         for rank, (doc_id, score) in enumerate(hits, 1):
             print(json.dumps({"rank": rank, "doc_id": doc_id, "score": score}))
         return 0
@@ -268,8 +261,7 @@ def main(argv: list[str] | None = None) -> int:
                                      replicas=args.replicas,
                                      worker_cpus=args.worker_cpus)
             try:
-                hits = tier.search(tokenize_py(args.terms), args.k,
-                                   method="wand" if args.wand else "taat")
+                hits = tier.search(tokenize_py(args.terms), args.k)
             finally:
                 tier.shutdown()
             for rank, (doc_id, score) in enumerate(hits, 1):

@@ -29,7 +29,7 @@ class EngineConfig:
 
     # ---- index layout ------------------------------------------------
     num_partitions: int = 32          # P: posting shards = hash(term) % P
-    block_size: int = 128             # docs per posting block (block-skip/WAND unit)
+    block_size: int = 128             # docs per posting block (block-skip unit)
 
     # ---- skew handling (north_rule: explicit salting of hot terms) ---
     # Prepass-free UNIVERSAL fixed-range salting: every term is split

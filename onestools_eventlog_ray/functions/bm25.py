@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from onestools_eventlog_ray.functions import codec
 from onestools_eventlog_ray.functions.analyzer import tokenize_py
 
 
@@ -62,6 +63,35 @@ def topk_order_e6(scores: np.ndarray, doc_ids: np.ndarray,
         cand = np.arange(n)
     order = cand[np.lexsort((ids[cand], -e6[cand]))]
     return order[:k]
+
+
+def accumulate(parts, deleted: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The TAAT kernel every scorer shares: ``(doc_ids, weights)`` parts
+    in accumulate order -> per-doc ``(uids, scores)``, uids sorted, with
+    the sorted ``deleted`` doc_ids masked out.  ``np.add.at`` adds each
+    doc's weights in part order, so callers that pass parts in sorted
+    term order get the oracle's float64 sums bit for bit.  The score
+    dtype follows the weights (float64 BM25, int64 e6 fixed point)."""
+    if not parts:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    all_w = np.concatenate([w for _, w in parts])
+    uids, inverse = np.unique(np.concatenate([ids for ids, _ in parts]),
+                              return_inverse=True)
+    scores = np.zeros(uids.size, dtype=all_w.dtype)
+    np.add.at(scores, inverse, all_w)
+    if deleted is not None and deleted.size:
+        live = ~np.isin(uids, deleted)
+        uids, scores = uids[live], scores[live]
+    return uids, scores
+
+
+def term_weights(blob: bytes, idf_t: float, avgdl: float, k1: float,
+                 b: float) -> tuple[np.ndarray, np.ndarray]:
+    """One posting blob -> ``(doc_ids, idf * bm25 impact)``."""
+    post = codec.decode_posting(blob)
+    return post.doc_ids, idf_t * codec.bm25_impact(post.tfs, post.dls,
+                                                   avgdl, k1, b)
 
 
 def pick_topk(tie: str):

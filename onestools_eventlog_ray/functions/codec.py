@@ -30,7 +30,7 @@ Key properties:
   salted hot-term runs (salt = doc_id range bucket) cheap to merge.
 - **Per-block ``(max_tf, min_dl)``** give the BM25 score upper bound
   ``idf * impact(max_tf, min_dl)`` at QUERY time (impact is monotone
-  increasing in tf and decreasing in dl) — the block-max WAND skip
+  increasing in tf and decreasing in dl) — the block-max skip
   bound.  Storing the raw extrema instead of a precomputed impact makes
   encoding **independent of the corpus stats** (avgdl): encode tasks
   need no stats barrier, and postings stay valid when avgdl drifts
@@ -371,7 +371,7 @@ def concat_postings(blobs: list[bytes]) -> bytes:
 def block_max_scores(blob: bytes, idf: float, avgdl: float,
                      k1: float, b: float) -> np.ndarray:
     """Per-block BM25 upper bounds ``idf * impact(max_tf, min_dl)`` —
-    WAND skip bounds, computed at query time from the CURRENT corpus
+    block-max skip bounds, computed at query time from the CURRENT corpus
     stats (impact is monotone in tf up / dl down, so this dominates
     every posting in the block)."""
     headers, _, _ = read_header(blob)
@@ -381,7 +381,7 @@ def block_max_scores(blob: bytes, idf: float, avgdl: float,
 
 
 def decode_block(blob: bytes, block_idx: int) -> Posting:
-    """Decode a single block (the block-skip read path of the WAND scorer)."""
+    """Decode a single block (the block-skip read path)."""
     headers, n_docs, payload_off = read_header(blob)
     if not (0 <= block_idx < headers.size):
         raise IndexError(block_idx)

@@ -53,7 +53,7 @@ Further commands:
   (df-bounded, shard-pruned ``term IN`` reads; content never scanned)
   and applied per batch as one ``is_in`` kernel on the id column;
   pass ``search_engine=`` to :func:`run_esql`.
-- **FROM a, b, logs-\*** — multi-index FROM with trailing-wildcard
+- ``FROM a, b, logs-*`` — multi-index FROM with trailing-wildcard
   patterns: matching Datasets union without materializing (block-list
   union, zero data movement); repeated names count once, like ES.
 

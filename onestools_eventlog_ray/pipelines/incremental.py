@@ -16,10 +16,8 @@ and df, all of which are sums over generations; postings store raw
 (tf, dl) so per-doc weights are recomputed under the global stats —
 the merged engine is therefore rank-identical to a single full build
 (tests/test_incremental.py proves it against the brute-force oracle).
-Codec v3 stores raw (max_tf, min_dl) block extrema, so block-max WAND
-bounds are computed at query time under the GLOBAL avgdl — the
-generational engine supports both TAAT and WAND (identical results),
-with no stale-bound hazard as avgdl drifts across generations.
+The generational engine scores with the same TAAT kernel as a single
+index, feeding it every generation's postings under the global stats.
 """
 
 from __future__ import annotations
@@ -30,9 +28,8 @@ import re
 import numpy as np
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions import codec
-from onestools_eventlog_ray.functions.bm25 import (idf as idf_fn, pick_topk,
-                                                   topk_order)
+from onestools_eventlog_ray.functions.bm25 import (accumulate, idf as idf_fn,
+                                                   pick_topk, term_weights)
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.sources.corpus import CorpusSpec, CODE_CORPUS_SPEC
@@ -316,58 +313,17 @@ class GenerationalSearchEngine:
         to a single-index build over the union of the documents."""
         uniq = sorted(set(terms))
         per_gen = [e.load_terms(uniq) for e in self.engines]
-        ids_parts, w_parts = [], []
+        parts = []
         for t in uniq:
-            hits = [(g, per_gen[g][t]) for g in range(len(self.engines))
-                    if t in per_gen[g]]
+            hits = [loaded[t] for loaded in per_gen if t in loaded]
             if not hits:
                 continue
-            df_global = sum(df for (_, (df, _)) in hits)
-            idf_t = idf_fn(self.N, df_global)
-            for g, (_df, blob) in hits:
-                post = codec.decode_posting(blob)
-                w = idf_t * codec.bm25_impact(post.tfs, post.dls, self.avgdl,
-                                              self.k1, self.b)
-                ids_parts.append(post.doc_ids)
-                w_parts.append(w)
-        if not ids_parts:
-            return []
-        all_ids = np.concatenate(ids_parts)
-        all_w = np.concatenate(w_parts)
-        uids, inverse = np.unique(all_ids, return_inverse=True)
-        scores = np.zeros(uids.size, dtype=np.float64)
-        np.add.at(scores, inverse, all_w)
-        if self.deleted.size:
-            live = ~np.isin(uids, self.deleted)
-            uids, scores = uids[live], scores[live]
+            idf_t = idf_fn(self.N, sum(df for df, _ in hits))
+            parts += [term_weights(blob, idf_t, self.avgdl, self.k1, self.b)
+                      for _df, blob in hits]
+        uids, scores = accumulate(parts, self.deleted)
         idx = pick_topk(tie)(scores, uids, k)
         return [(int(uids[i]), float(scores[i])) for i in idx]
-
-    def search_wand(self, terms: list[str], k: int = 10,
-                    tie: str = "float") -> list[tuple[int, float]]:
-        """Block-max WAND across generations: one cursor per
-        (term, generation) with idf from the GLOBAL df and bounds from
-        the v3 (max_tf, min_dl) extrema under the GLOBAL avgdl.
-        Generations hold disjoint doc_ids, so a doc appears in at most
-        one cursor per term and the accumulation order (terms major,
-        generations minor) matches :meth:`search` — results identical."""
-        from onestools_eventlog_ray.pipelines.query import (_PostingCursor,
-                                                            wand_topk)
-        uniq = sorted(set(terms))
-        per_gen = [e.load_terms(uniq) for e in self.engines]
-        iters = []
-        for t in uniq:
-            hits = [(g, per_gen[g][t]) for g in range(len(self.engines))
-                    if t in per_gen[g]]
-            if not hits:
-                continue
-            df_global = sum(df for (_, (df, _)) in hits)
-            idf_t = idf_fn(self.N, df_global)
-            for _g, (_df, blob) in hits:
-                iters.append(_PostingCursor(blob, idf_t, self.avgdl,
-                                            self.k1, self.b))
-        return wand_topk(iters, k, tie=tie,
-                         deleted=self.deleted if self.deleted.size else None)
 
 
 def reindex(src_index: str, out_dir: str, where: dict | None = None,

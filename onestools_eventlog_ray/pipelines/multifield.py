@@ -27,7 +27,7 @@ import os
 import numpy as np
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions.bm25 import pick_topk, topk_order
+from onestools_eventlog_ray.functions.bm25 import accumulate, pick_topk
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.sources.corpus import CorpusSpec
@@ -65,19 +65,11 @@ class MultiFieldEngine:
         """-> [(doc_id, combined score)], (score desc, doc_id asc).
         A doc matching in ANY field is a candidate (ES multi_match /
         bool-should semantics)."""
-        ids_parts, w_parts = [], []
+        parts = []
         for f in sorted(self.engines):           # deterministic field order
             ids_f, sc_f = self.engines[f]._taat_arrays(terms)
-            if ids_f.size:
-                ids_parts.append(ids_f)
-                w_parts.append(self.boosts[f] * sc_f)
-        if not ids_parts:
-            return []
-        all_ids = np.concatenate(ids_parts)
-        all_w = np.concatenate(w_parts)
-        uids, inverse = np.unique(all_ids, return_inverse=True)
-        scores = np.zeros(uids.size, dtype=np.float64)
-        np.add.at(scores, inverse, all_w)
+            parts.append((ids_f, self.boosts[f] * sc_f))
+        uids, scores = accumulate(parts)
         idx = pick_topk(tie)(scores, uids, k)
         return [(int(uids[i]), float(scores[i])) for i in idx]
 

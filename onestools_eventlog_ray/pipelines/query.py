@@ -1,5 +1,5 @@
-"""BM25 top-k query path: shard-pruned posting reads, exact TAAT scorer,
-block-max WAND scorer, and a Ray actor-pool stage for query batches.
+"""BM25 top-k query path: shard-pruned posting reads, the exact TAAT
+scorer, and a Ray actor-pool stage for query batches.
 
 The reference delegates this entirely to ElasticSearch's query engine
 over its ``text``-analyzed fields
@@ -9,12 +9,11 @@ here it is built from the shards:
 - a query touches ONLY the shards its terms hash to (partition pruning —
   the J4 lookup of SURVEY.md §2.5), read with a parquet ``term IN (...)``
   row filter;
-- TAAT (term-at-a-time) scoring is the exact reference path: float64,
-  per-doc accumulation in sorted-unique-term order, tie-break
-  ``(score desc, doc_id asc)`` — rank-identical to the brute-force oracle;
-- block-max WAND uses the per-block upper bounds stored by the codec to
-  skip blocks that cannot reach the current top-k threshold; it returns
-  results identical to TAAT (property-tested).
+- TAAT (term-at-a-time) scoring is the only scorer: float64, per-doc
+  accumulation in sorted-unique-term order through the shared
+  :func:`~onestools_eventlog_ray.functions.bm25.accumulate` kernel,
+  tie-break ``(score desc, doc_id asc)`` — rank-identical to the
+  brute-force oracle.
 
 ``SearchEngine`` holds shard/posting caches — the stateful-scorer analog
 of the reference's sticky ES node state (``ElasticSearchStorage.cs:245-256``)
@@ -23,7 +22,6 @@ of the reference's sticky ES node state (``ElasticSearchStorage.cs:245-256``)
 
 from __future__ import annotations
 
-import heapq
 import os
 from collections import OrderedDict
 
@@ -33,8 +31,8 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from onestools_eventlog_ray.functions import codec
-from onestools_eventlog_ray.functions.bm25 import (idf as idf_fn, pick_topk,
-                                                   topk_order)
+from onestools_eventlog_ray.functions.bm25 import (accumulate, idf as idf_fn,
+                                                   pick_topk, term_weights)
 from onestools_eventlog_ray.functions.hashing import term_partition_one
 from onestools_eventlog_ray.state import checkpoint as ckpt
 
@@ -126,17 +124,10 @@ class SearchEngine:
         loaded = self.load_terms(uniq)
         if len(loaded) < len(uniq):
             return []
-        ids_parts, w_parts = [], []
-        for t in uniq:
-            df, blob = loaded[t]
-            post = codec.decode_posting(blob)
-            idf_t = idf_fn(self.N, df)
-            w = idf_t * codec.bm25_impact(post.tfs, post.dls, self.avgdl,
-                                          self.k1, self.b)
-            ids_parts.append(post.doc_ids)
-            w_parts.append(w)
-        all_ids = np.concatenate(ids_parts)
-        all_w = np.concatenate(w_parts)
+        parts = [term_weights(loaded[t][1], idf_fn(self.N, loaded[t][0]),
+                              self.avgdl, self.k1, self.b) for t in uniq]
+        all_ids = np.concatenate([ids for ids, _ in parts])
+        all_w = np.concatenate([w for _, w in parts])
         uids, inverse, counts = np.unique(all_ids, return_inverse=True,
                                           return_counts=True)
         scores = np.zeros(uids.size, dtype=np.float64)
@@ -162,7 +153,7 @@ class SearchEngine:
         -> [(doc_id, score_e6)] by (score_e6 desc, doc_id asc), top k."""
         all_terms = sorted({t for g in groups for t in g})
         loaded = self.load_terms(all_terms)
-        ids_parts, e6_parts = [], []
+        parts = []
         for g in groups:
             gi, gt, gd = [], [], []
             for t in sorted(set(g)):
@@ -183,19 +174,9 @@ class SearchEngine:
             dls = np.concatenate(gd)[first]
             w = idf_fn(self.N, uids.size) \
                 * codec.bm25_impact(tf, dls, self.avgdl, self.k1, self.b)
-            e6 = np.maximum(
-                np.floor(w * 1_000_000 + 0.5).astype(np.int64), 0)
-            ids_parts.append(uids)
-            e6_parts.append(e6)
-        if not ids_parts:
-            return []
-        all_ids = np.concatenate(ids_parts)
-        uids, inv = np.unique(all_ids, return_inverse=True)
-        score = np.zeros(uids.size, dtype=np.int64)
-        np.add.at(score, inv, np.concatenate(e6_parts))
-        if self.deleted.size:
-            live = ~np.isin(uids, self.deleted)
-            uids, score = uids[live], score[live]
+            parts.append((uids, np.maximum(
+                np.floor(w * 1_000_000 + 0.5).astype(np.int64), 0)))
+        uids, score = accumulate(parts, self.deleted)
         order = np.lexsort((uids, -score))[:k]
         return [(int(uids[i]), int(score[i])) for i in order]
 
@@ -370,7 +351,7 @@ class SearchEngine:
         becomes Python objects."""
         uniq = sorted(set(terms))
         loaded = self.load_terms(uniq)
-        ids_parts, w_parts = [], []
+        parts = []
         for t in uniq:                      # sorted term order == oracle order
             hit = loaded.get(t)
             if hit is None:
@@ -378,30 +359,14 @@ class SearchEngine:
             cached = self._w_cache.get(t)
             if cached is not None:
                 self._w_cache.move_to_end(t)
-                ids_parts.append(cached[0])
-                w_parts.append(cached[1])
-                continue
-            df, blob = hit
-            post = codec.decode_posting(blob)
-            idf_t = idf_fn(self.N, df)
-            w = idf_t * codec.bm25_impact(post.tfs, post.dls, self.avgdl,
-                                          self.k1, self.b)
-            self._w_cache[t] = (post.doc_ids, w)
-            if len(self._w_cache) > 256:
-                self._w_cache.popitem(last=False)
-            ids_parts.append(post.doc_ids)
-            w_parts.append(w)
-        if not ids_parts:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        all_ids = np.concatenate(ids_parts)
-        all_w = np.concatenate(w_parts)
-        uids, inverse = np.unique(all_ids, return_inverse=True)
-        scores = np.zeros(uids.size, dtype=np.float64)
-        np.add.at(scores, inverse, all_w)   # adds in term order per doc
-        if self.deleted.size:
-            live = ~np.isin(uids, self.deleted)
-            uids, scores = uids[live], scores[live]
+            else:
+                cached = self._w_cache[t] = term_weights(
+                    hit[1], idf_fn(self.N, hit[0]), self.avgdl, self.k1,
+                    self.b)
+                if len(self._w_cache) > 256:
+                    self._w_cache.popitem(last=False)
+            parts.append(cached)
+        uids, scores = accumulate(parts, self.deleted)
         if allowed is not None:
             keep = np.flatnonzero(
                 np.isin(uids, allowed, assume_unique=False))
@@ -643,7 +608,7 @@ class SearchEngine:
         T = self.total_tokens
         uniq = sorted(set(terms))
         loaded = self.load_terms(uniq)
-        ids_parts, e6_parts = [], []
+        parts = []
         for t in uniq:
             hit = loaded.get(t)
             if hit is None:
@@ -674,20 +639,9 @@ class SearchEngine:
                 val = np.log((tfn + lam_df) / lam_df)
             else:
                 raise ValueError(f"unknown similarity {similarity!r}")
-            e6 = np.maximum(
-                np.floor(val * 1_000_000 + 0.5).astype(np.int64), 0)
-            ids_parts.append(post.doc_ids)
-            e6_parts.append(e6)
-        if not ids_parts:
-            return []
-        all_ids = np.concatenate(ids_parts)
-        all_e6 = np.concatenate(e6_parts)
-        uids, inverse = np.unique(all_ids, return_inverse=True)
-        scores = np.zeros(uids.size, dtype=np.int64)
-        np.add.at(scores, inverse, all_e6)
-        if self.deleted.size:
-            live = ~np.isin(uids, self.deleted)
-            uids, scores = uids[live], scores[live]
+            parts.append((post.doc_ids, np.maximum(
+                np.floor(val * 1_000_000 + 0.5).astype(np.int64), 0)))
+        uids, scores = accumulate(parts, self.deleted)
         order = np.lexsort((uids, -scores))[:k]
         return [(int(uids[i]), int(scores[i])) for i in order]
 
@@ -715,191 +669,6 @@ class SearchEngine:
         return sel, self.search(sel, k, tie=tie,
                                 excluded=np.asarray([doc_id], np.int64))
 
-    # ---- block-max WAND -------------------------------------------------
-
-    def search_wand(self, terms: list[str], k: int = 10,
-                    tie: str = "float") -> list[tuple[int, float]]:
-        """Identical results to :meth:`search`, computed with block-skip.
-
-        Scores candidates document-at-a-time; per-candidate accumulation
-        iterates terms in the same sorted order as TAAT so float64 sums
-        are bit-identical.  A block/term is skipped only when its upper
-        bound is STRICTLY below the current threshold, so equal-score
-        tie-breaks are preserved.
-        """
-        uniq = sorted(set(terms))
-        loaded = self.load_terms(uniq)
-        iters = []
-        for t in uniq:
-            hit = loaded.get(t)
-            if hit is None:
-                continue
-            df, blob = hit
-            iters.append(_PostingCursor(blob, idf_fn(self.N, df),
-                                        self.avgdl, self.k1, self.b))
-        return wand_topk(iters, k, tie=tie,
-                         deleted=self.deleted if self.deleted.size else None)
-
-
-def wand_topk(iters: list["_PostingCursor"], k: int,
-              deleted: np.ndarray | None = None,
-              tie: str = "float") -> list[tuple[int, float]]:
-    """Block-max WAND over an arbitrary cursor set (one per term — or per
-    (term, generation) in the generational engine; a doc appears in at
-    most one cursor per term, so accumulation order matches TAAT).
-    ``deleted``: optional SORTED doc_id array of tombstoned docs — they
-    are skipped without scoring, so results equal TAAT-with-mask.
-    ``tie="e6"``: the heap ranks on the quantized ``floor(s*1e6+0.5)``
-    integer with (e6 desc, doc_id asc) tie-break, and the pruning
-    threshold carries the −0.5 quantization slack (minus one float ulp
-    of margin), so the result is the EXACT oracle top-k — no full-match
-    overfetch needed even when e6-ties straddle the float kth score."""
-    if not iters:
-        return []
-    e6_mode = tie == "e6"
-
-    def _entry(score: float, doc: int) -> tuple:
-        if e6_mode:
-            return (int(np.floor(score * 1_000_000.0 + 0.5)), -doc, score)
-        return (score, -doc)
-
-    def _prune_bound() -> float:
-        # least float score that could still enter/tie the heap root
-        if e6_mode:
-            return (heap[0][0] - 0.5) * 1e-6 - 1e-9
-        return heap[0][0]
-
-    def _is_deleted(d: int) -> bool:
-        if deleted is None:
-            return False
-        i = int(np.searchsorted(deleted, d))
-        return i < deleted.size and deleted[i] == d
-    # max-heap of (score, -doc_id) as a min-heap keeps the k best;
-    # (score, -doc_id) ordering makes equal scores prefer smaller ids.
-    heap: list[tuple] = []
-    while True:
-        live = [it for it in iters if not it.exhausted]
-        if not live:
-            break
-        live.sort(key=lambda it: it.cur_doc)
-        threshold = _prune_bound() if len(heap) == k else -np.inf
-        # WAND pivot: smallest prefix of doc-sorted cursors whose
-        # term-level upper-bound sum can reach the threshold.  Bounds
-        # are compared NON-strictly so equal-score candidates are
-        # still evaluated (tie-break safety).
-        ub_sum = 0.0
-        pivot = None
-        for i, it in enumerate(live):
-            ub_sum += it.max_score
-            if len(heap) < k or ub_sum >= threshold:
-                pivot = i
-                break
-        if pivot is None:
-            break                         # no remaining doc can qualify
-        pivot_doc = live[pivot].cur_doc
-        if live[0].cur_doc == pivot_doc:
-            at_pivot = [it for it in iters
-                        if not it.exhausted and it.cur_doc == pivot_doc]
-            # block-max refinement: sum of the CURRENT blocks' bounds;
-            # skip full scoring when even that cannot reach the threshold
-            block_ub = sum(it.cur_block_bound() for it in at_pivot)
-            if _is_deleted(pivot_doc):
-                pass                      # tombstoned: advance, never score
-            elif len(heap) < k or block_ub >= threshold:
-                # fully score pivot_doc (sorted term order == TAAT order,
-                # so the float64 sum is bit-identical to search())
-                score = 0.0
-                for it in at_pivot:
-                    score += it.cur_weight()
-                entry = _entry(score, pivot_doc)
-                if len(heap) < k:
-                    heapq.heappush(heap, entry)
-                elif entry[:2] > heap[0][:2]:
-                    heapq.heapreplace(heap, entry)
-            for it in at_pivot:
-                it.seek_geq(pivot_doc + 1)
-        else:
-            for i in range(pivot):
-                live[i].seek_geq(pivot_doc)
-    out = sorted(heap, key=lambda e: (-e[0], -e[1]))
-    if e6_mode:
-        return [(-e[1], e[2]) for e in out]
-    return [(-d, s) for (s, d) in out]
-
-
-class _PostingCursor:
-    """Lazy block-decoding cursor over one term's posting."""
-
-    __slots__ = ("blob", "idf", "avgdl", "k1", "b", "headers", "block_bounds",
-                 "max_score", "n_blocks", "bi", "ids", "ws", "pos", "exhausted",
-                 "cur_doc")
-
-    def __init__(self, blob: bytes, idf_val: float, avgdl: float,
-                 k1: float, b: float):
-        self.blob, self.idf, self.avgdl, self.k1, self.b = blob, idf_val, avgdl, k1, b
-        headers, n_docs, _ = codec.read_header(blob)
-        self.headers = headers
-        # v3 bounds: idf * impact(max_tf, min_dl) with the engine's
-        # CURRENT stats — valid across incremental avgdl drift
-        self.block_bounds = idf_val * codec.bm25_impact(
-            headers["max_tf"].astype(np.float64),
-            headers["min_dl"].astype(np.float64), avgdl, k1, b)
-        self.max_score = float(self.block_bounds.max()) if headers.size else 0.0
-        self.n_blocks = headers.size
-        self.bi = -1
-        self.exhausted = n_docs == 0
-        self.ids = np.empty(0, dtype=np.int64)
-        self.ws = np.empty(0, dtype=np.float64)
-        self.pos = 0
-        self.cur_doc = -1
-        if not self.exhausted:
-            self._load_block(0)
-
-    def _load_block(self, bi: int) -> None:
-        if bi >= self.n_blocks:
-            self.exhausted = True
-            self.cur_doc = np.iinfo(np.int64).max
-            return
-        p = codec.decode_block(self.blob, bi)
-        self.bi = bi
-        self.ids = p.doc_ids
-        self.ws = self.idf * codec.bm25_impact(p.tfs, p.dls, self.avgdl,
-                                               self.k1, self.b)
-        self.pos = 0
-        self.cur_doc = int(self.ids[0])
-
-    def cur_weight(self) -> float:
-        return float(self.ws[self.pos])
-
-    def cur_block_bound(self) -> float:
-        return float(self.block_bounds[self.bi])
-
-    def seek_geq(self, target: int) -> None:
-        """Advance to the first posting with doc_id >= target.  Whole
-        blocks between here and the target are SKIPPED WITHOUT DECODING
-        (binary-search on the block headers' first_doc) — the block-skip
-        payoff of the codec layout."""
-        if self.exhausted:
-            return
-        bi = self.bi
-        if (bi + 1 < self.n_blocks
-                and self.headers["first_doc"][bi + 1] <= target):
-            # find the last block whose first_doc <= target
-            bi = int(np.searchsorted(self.headers["first_doc"], target,
-                                     side="right")) - 1
-        if bi != self.bi:
-            self._load_block(bi)
-            if self.exhausted:
-                return
-        pos = int(np.searchsorted(self.ids, target, side="left"))
-        while pos >= self.ids.size:
-            self._load_block(self.bi + 1)
-            if self.exhausted:
-                return
-            pos = int(np.searchsorted(self.ids, target, side="left"))
-        self.pos = pos
-        self.cur_doc = int(self.ids[pos])
-
 
 # --------------------------------------------------------------------------
 # Ray actor-pool query stage
@@ -911,10 +680,8 @@ class QueryScorer:
     One ``SearchEngine`` (with its shard caches) per actor — setup in
     ``__init__``, scoring per batch (the actor-pool contract)."""
 
-    def __init__(self, index_dir: str, use_wand: bool = False,
-                 tie: str = "float"):
+    def __init__(self, index_dir: str, tie: str = "float"):
         self.engine = SearchEngine(index_dir)
-        self.use_wand = use_wand
         self.tie = tie
 
     def __call__(self, batch: pa.Table) -> pa.Table:
@@ -948,9 +715,7 @@ class QueryScorer:
                     tie_breaker=float(tb) if tb is not None else 0.0,
                     tie=self.tie)
             else:
-                fn = self.engine.search_wand if self.use_wand \
-                    else self.engine.search
-                hits = fn(list(terms), int(k), tie=self.tie)
+                hits = self.engine.search(list(terms), int(k), tie=self.tie)
             for rank, (doc_id, score) in enumerate(hits, 1):
                 qids.append(qid)
                 ranks.append(rank)
@@ -992,18 +757,17 @@ def _engine_for(index_dir: str) -> "SearchEngine":
 
 
 def _score_batch(batch: pa.Table, *, index_dir: str,
-                 use_wand: bool, tie: str = "float") -> pa.Table:
+                 tie: str = "float") -> pa.Table:
     from onestools_eventlog_ray.functions.runtime import pin_worker_threads
     pin_worker_threads()
     scorer = QueryScorer.__new__(QueryScorer)
     scorer.engine = _engine_for(index_dir)
-    scorer.use_wand = use_wand
     scorer.tie = tie
     return scorer(batch)
 
 
 def score_queries(index_dir: str, queries, k: int = 10,
-                  use_wand: bool = False, concurrency=(1, 8),
+                  concurrency=(1, 8),
                   batch_size: int = 8, impl: str = "actors",
                   tie: str = "float"):
     """Queries (list[dict] or Dataset with query_id/terms[/k]) -> Dataset
@@ -1038,11 +802,10 @@ def score_queries(index_dir: str, queries, k: int = 10,
         return queries.map_batches(_score_batch, batch_format="pyarrow",
                                    batch_size=batch_size,
                                    fn_kwargs=dict(index_dir=index_dir,
-                                                  use_wand=use_wand, tie=tie))
+                                                  tie=tie))
     return queries.map_batches(QueryScorer, batch_format="pyarrow",
                                batch_size=batch_size, concurrency=concurrency,
                                fn_constructor_kwargs=dict(index_dir=index_dir,
-                                                          use_wand=use_wand,
                                                           tie=tie))
 
 

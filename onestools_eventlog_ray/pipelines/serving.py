@@ -50,8 +50,8 @@ import ray
 import ray.data
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions import codec
-from onestools_eventlog_ray.functions.bm25 import idf as idf_fn, pick_topk
+from onestools_eventlog_ray.functions.bm25 import (accumulate, idf as idf_fn,
+                                                   pick_topk, term_weights)
 from onestools_eventlog_ray.sources.corpus import (CODE_CORPUS_SPEC,
                                                    CorpusSpec,
                                                    read_parquet_clean)
@@ -164,47 +164,18 @@ class ShardWorker:
                 for t, (df, _) in self.eng.load_terms(terms).items()}
 
     def score_topk(self, terms: list, idf_map: dict, avgdl: float,
-                   k: int, tie: str,
-                   method: str = "taat") -> tuple[np.ndarray, np.ndarray]:
-        """Phase 2: score this shard's postings under the injected
-        GLOBAL (idf, avgdl); local top-k cut under the same total order
-        the merge uses, so the union of shard top-k contains the global
-        top-k.  ``method="wand"`` swaps the exhaustive TAAT for
-        block-max WAND (same cursors the monolithic engine uses, fed
-        the global stats) — identical results, block-skipping cost."""
+                   k: int, tie: str) -> tuple[np.ndarray, np.ndarray]:
+        """Phase 2: exhaustive TAAT over this shard's postings under the
+        injected GLOBAL (idf, avgdl), through the same accumulate kernel
+        as the monolithic engine; local top-k cut under the same total
+        order the merge uses, so the union of shard top-k contains the
+        global top-k."""
         eng = self.eng
         uniq = sorted(set(terms))
         loaded = eng.load_terms(uniq)
-        if method == "wand":
-            from onestools_eventlog_ray.pipelines.query import (
-                _PostingCursor, wand_topk)
-            iters = [_PostingCursor(blob, idf_map[t], avgdl, eng.k1, eng.b)
-                     for t, (_df, blob) in loaded.items() if t in idf_map]
-            hits = wand_topk(iters, k, tie=tie,
-                             deleted=eng.deleted if eng.deleted.size
-                             else None)
-            return (np.asarray([d for d, _ in hits], np.int64),
-                    np.asarray([s for _, s in hits], np.float64))
-        ids_parts, w_parts = [], []
-        for t in uniq:
-            if t not in loaded or t not in idf_map:
-                continue
-            _df, blob = loaded[t]
-            post = codec.decode_posting(blob)
-            w = idf_map[t] * codec.bm25_impact(post.tfs, post.dls, avgdl,
-                                               eng.k1, eng.b)
-            ids_parts.append(post.doc_ids)
-            w_parts.append(w)
-        if not ids_parts:
-            return (np.empty(0, np.int64), np.empty(0, np.float64))
-        all_ids = np.concatenate(ids_parts)
-        all_w = np.concatenate(w_parts)
-        uids, inverse = np.unique(all_ids, return_inverse=True)
-        scores = np.zeros(uids.size, dtype=np.float64)
-        np.add.at(scores, inverse, all_w)
-        if eng.deleted.size:
-            live = ~np.isin(uids, eng.deleted)
-            uids, scores = uids[live], scores[live]
+        uids, scores = accumulate(
+            [term_weights(loaded[t][1], idf_map[t], avgdl, eng.k1, eng.b)
+             for t in uniq if t in loaded and t in idf_map], eng.deleted)
         idx = pick_topk(tie)(scores, uids, k)
         return (uids[idx].astype(np.int64), scores[idx])
 
@@ -320,8 +291,7 @@ class ShardedSearchTier:
     # ---- query -------------------------------------------------------
 
     def search(self, terms: list[str], k: int = 10,
-               tie: str = "float",
-               method: str = "taat") -> list[tuple[int, float]]:
+               tie: str = "float") -> list[tuple[int, float]]:
         uniq = sorted(set(terms))
         missing = [t for t in uniq if t not in self._df_cache]
         if missing:
@@ -340,7 +310,7 @@ class ShardedSearchTier:
             live |= self._df_cache[t] > 0
         parts = self._scatter(
             np.flatnonzero(live).tolist(), "score_topk",
-            lambda si: (uniq, idf_map, self.avgdl, k, tie, method))
+            lambda si: (uniq, idf_map, self.avgdl, k, tie))
         ids = np.concatenate([p[0] for p in parts])
         scores = np.concatenate([p[1] for p in parts])
         idx = pick_topk(tie)(scores, ids, k)

@@ -48,12 +48,14 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from onestools_eventlog_ray.config import EngineConfig
+from onestools_eventlog_ray.functions.bm25 import accumulate
 from onestools_eventlog_ray.functions.hashing import (term_partition,
                                                       term_partition_one)
 from onestools_eventlog_ray.sources.corpus import (CODE_CORPUS_SPEC,
                                                    CorpusSpec, read_corpus)
 from onestools_eventlog_ray.stages.tokenize import emit_triples
 from onestools_eventlog_ray.state.checkpoint import atomic_write_bytes
+from onestools_eventlog_ray.state.tombstones import load_tombstones
 
 DEFAULT_MIN_W_E6 = 200_000  # drop postings with impact < 0.2
 
@@ -160,6 +162,8 @@ class SparseEngine:
         with open(os.path.join(self.dir, "_meta.json")) as f:
             self.meta = json.load(f)
         self.P = int(self.meta["num_partitions"])
+        # soft-deleted doc_ids are masked like every BM25 path
+        self.deleted = load_tombstones(index_dir)
 
     def load_terms(self, terms: list[str]) -> dict[str, tuple]:
         """term -> (doc_ids int64[], w_e6 int64[]); shard-pruned reads
@@ -187,17 +191,13 @@ class SparseEngine:
     def search(self, query_weights: dict[str, int], k: int = 10
                ) -> list[tuple[int, int]]:
         """Top-k docs by ``score_e12 = sum_t q_e6[t] * w_e6[t, d]``,
-        tie-break (score desc, doc_id asc).  Terms are accumulated in
-        sorted order; int64 arithmetic makes order irrelevant anyway."""
+        tie-break (score desc, doc_id asc), tombstoned docs masked.
+        Terms are accumulated in sorted order; int64 arithmetic makes
+        order irrelevant anyway."""
         loaded = self.load_terms(sorted(query_weights))
-        if not loaded:
-            return []
-        all_ids = np.concatenate([v[0] for v in loaded.values()])
-        all_sc = np.concatenate([
-            v[1] * np.int64(query_weights[t]) for t, v in loaded.items()])
-        uids, inv = np.unique(all_ids, return_inverse=True)
-        scores = np.zeros(uids.size, dtype=np.int64)
-        np.add.at(scores, inv, all_sc)
+        uids, scores = accumulate(
+            [(ids, ws * np.int64(query_weights[t]))
+             for t, (ids, ws) in loaded.items()], self.deleted)
         order = np.lexsort((uids, -scores))[:k]
         return [(int(uids[i]), int(scores[i])) for i in order]
 

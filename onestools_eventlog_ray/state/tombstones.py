@@ -6,7 +6,7 @@ The reference handles deleted inputs and removed tenants live
 its ElasticSearch sink supports delete-by-id.  Our shards and docstores
 are immutable (append-only, like ES segments), so deletes are SOFT:
 ``delete_docs`` appends a small tombstone parquet under
-``<index_dir>/tombstones/``; every query path (TAAT, WAND, conjunctive,
+``<index_dir>/tombstones/``; every query path (TAAT, conjunctive, sparse,
 fetch, filtered) masks tombstoned doc_ids out of results, and
 compaction drops them physically (the segment-merge analog).
 

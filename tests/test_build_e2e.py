@@ -1,7 +1,7 @@
 """End-to-end golden run (SURVEY.md §5.2-5.3): synthetic corpus ->
 build_index -> reference query set -> rank-identical to the brute-force
-oracle; per-row content sha256 invariant; WAND == TAAT; Ray batch-query
-stage == driver-side scorer.
+oracle; per-row content sha256 invariant; Ray batch-query stage ==
+driver-side scorer.
 """
 
 import glob
@@ -82,18 +82,6 @@ def test_topk_rank_identical_to_oracle(built, small_corpus, oracle):
             assert gs == pytest.approx(ws, rel=1e-9)
 
 
-def test_wand_equals_taat(built, small_corpus):
-    index_dir, _ = built
-    eng = SearchEngine(index_dir)
-    queries = synth.reference_queries(small_corpus, n_queries=50)
-    for q in queries:
-        taat = eng.search(q["terms"], q["k"])
-        wand = eng.search_wand(q["terms"], q["k"])
-        assert [d for d, _ in wand] == [d for d, _ in taat], q
-        for (_, ws), (_, ts) in zip(wand, taat):
-            assert ws == ts  # bit-identical accumulation order
-
-
 def test_ray_batch_query_stage(built, small_corpus, oracle):
     index_dir, _ = built
     queries = synth.reference_queries(small_corpus, n_queries=12)
@@ -128,4 +116,3 @@ def test_zero_hit_query(built):
     index_dir, _ = built
     eng = SearchEngine(index_dir)
     assert eng.search(["zzz_nohit_0"], 10) == []
-    assert eng.search_wand(["zzz_nohit_0"], 10) == []

@@ -66,7 +66,6 @@ def test_weights_cache_consistent(edge_index):
     first = eng.search(["x", "def"], 10)
     again = eng.search(["x", "def"], 10)   # served from the weights cache
     assert first == again
-    assert eng.search_wand(["x", "def"], 10) == first
 
 
 def test_search_text_analyzes_query(edge_index):

@@ -1,6 +1,6 @@
 """Round-2 features: md5 fasthash kernels, exact-mod MinHash, bucketed
 pair verification, LSH cosine pairs, filtered search, docstore pruning,
-rebuild staleness, and stats-free codec-v3 WAND bounds."""
+rebuild staleness, and stats-free codec-v3 block bounds."""
 
 import os
 
@@ -411,9 +411,9 @@ def test_hll_estimate_accuracy(small_corpus):
     assert got == local
 
 
-def test_generational_wand_matches_taat(tmp_path):
-    """v3 bounds are valid under the GLOBAL avgdl even when generations
-    have very different document lengths (the stale-bound hazard)."""
+def test_generational_compaction_under_avgdl_drift(tmp_path):
+    """Generations with very different document lengths score under the
+    GLOBAL avgdl: compacting them gives the same ranking."""
     import pyarrow.parquet as pq
     from onestools_eventlog_ray.config import EngineConfig
     from onestools_eventlog_ray.pipelines.incremental import (
@@ -439,8 +439,6 @@ def test_generational_wand_matches_taat(tmp_path):
         pq.write_table(gen_table(gi * 1000, texts), src)
         add_generation(src, root, spec=DOCUMENTS_SPEC, cfg=cfg)
     eng = GenerationalSearchEngine(root)
-    for terms in (["spark"], ["spark", "vector"], ["w1", "w2", "w3"]):
-        assert eng.search_wand(terms, 10) == eng.search(terms, 10)
 
     # compaction (force-merge analog): one fresh index over the union of
     # the generations' docstores, rank-identical to the generational view
@@ -453,4 +451,3 @@ def test_generational_wand_matches_taat(tmp_path):
     ceng = SearchEngine(out)
     for terms in (["spark"], ["spark", "vector"], ["w1", "w2", "w3"]):
         assert ceng.search(terms, 10) == eng.search(terms, 10)
-        assert ceng.search_wand(terms, 10) == ceng.search(terms, 10)

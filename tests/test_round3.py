@@ -47,8 +47,6 @@ def test_delete_removes_from_results(del_index, small_corpus):
     for d, s in after:
         if d in before_scores:
             assert s == before_scores[d]
-    # WAND path masks them identically
-    assert eng2.search_wand(["def", "import"], 10) == after
 
 
 def test_delete_masks_fetch_and_filtered(del_index, small_corpus):
@@ -92,7 +90,6 @@ def test_generational_delete_and_compaction(tmp_path, small_corpus):
     eng2 = GenerationalSearchEngine(root)
     after = eng2.search(["def", "the"], 10)
     assert not set(victims) & {d for d, _ in after}
-    assert eng2.search_wand(["def", "the"], 10) == after
 
     # compaction drops the deleted docs: N shrinks, tombstones not carried
     out = str(tmp_path / "compacted")

@@ -286,7 +286,6 @@ def test_shrink_rank_and_phrase_identity(index_dir, tmp_path):
     for terms in (["spark", "window"], ["join", "merge", "vector"],
                   ["src1"], ["zz_missing"]):
         assert a.search(terms, 25) == b.search(terms, 25)
-        assert a.search_wand(terms, 10) == b.search_wand(terms, 10)
     if os.path.isdir(os.path.join(index_dir, "positions")):
         assert PhraseEngine(index_dir).search_phrase(["spark", "window"]) \
             == PhraseEngine(out).search_phrase(["spark", "window"])

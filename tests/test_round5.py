@@ -10,7 +10,6 @@ wrapper requests k=10 and receives O(k) hits.  These tests pin:
   including planted sub-1e-6 score gaps that straddle quantization;
 * ``search(tie="e6")`` == e6-lexsort of the full float ranking, with
   len <= k (the bounded-pull contract);
-* block-max WAND in e6 mode == TAAT in e6 mode (tie-safe pruning slack);
 * no wrapper in ``__ray_entry__`` requests an unbounded match list any
   more (source regression guard + a live probe of the k actually used).
 """
@@ -68,7 +67,7 @@ def test_topk_order_e6_differs_from_float_order_on_straddle():
 
 
 # ---------------------------------------------------------------------------
-# engine: bounded e6 search == full-pull lexsort; WAND e6 == TAAT e6
+# engine: bounded e6 search == full-pull lexsort
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -107,18 +106,6 @@ def test_search_e6_bounded_and_exact(tie_index):
             assert [d for d, _ in hits] == ids[want].tolist(), terms
             assert np.array_equal(_e6([s for _, s in hits]),
                                   _e6(sc[want]))
-
-
-def test_wand_e6_matches_taat_e6(tie_index):
-    eng = SearchEngine(tie_index)
-    for terms in QUERIES:
-        for k in (1, 5, 10, 40):
-            taat = eng.search(terms, k=k, tie="e6")
-            eng2 = SearchEngine(tie_index)            # cold caches
-            wand = eng2.search_wand(terms, k=k, tie="e6")
-            assert [d for d, _ in wand] == [d for d, _ in taat]
-            assert np.array_equal(_e6([s for _, s in wand]),
-                                  _e6([s for _, s in taat]))
 
 
 def test_search_and_e6(tie_index):

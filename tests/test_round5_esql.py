@@ -386,3 +386,16 @@ def test_inlinestats_grouped_and_global(ray_session):
     assert got2["pct"] == [16, 29, 9, 22, 22]   # int division, tot=31
     with pytest.raises(EsqlError):
         run_esql('FROM e | INLINESTATS m = MAX(v) BY u, v | LIMIT 1', t)
+
+
+def test_module_source_compiles_without_warnings():
+    """Invalid escape sequences warn at compile time (an error under
+    ``-W error``); compile the source directly so a cached ``.pyc``
+    cannot hide them."""
+    import warnings
+    from onestools_eventlog_ray.pipelines import esql
+    with open(esql.__file__, encoding="utf-8") as fh:
+        src = fh.read()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        compile(src, esql.__file__, "exec")

@@ -144,22 +144,6 @@ def test_tier_df_cache_identical_results(deployment):
         tier.shutdown()
 
 
-@pytest.mark.parametrize("tie", ["float", "e6"])
-def test_tier_wand_method_identical(deployment, tie):
-    """Block-max WAND inside the shard workers (global stats injected
-    into the cursors) must reproduce the TAAT tier exactly."""
-    from onestools_eventlog_ray.pipelines.serving import ShardedSearchTier
-    _mono, root = deployment
-    tier = ShardedSearchTier(root)
-    try:
-        for terms in QUERIES:
-            for k in (1, 5, 10):
-                assert tier.search(terms, k, tie=tie, method="wand") \
-                    == tier.search(terms, k, tie=tie, method="taat")
-    finally:
-        tier.shutdown()
-
-
 def test_tier_exact_at_odd_shard_count(ray_session, tmp_path_factory,
                                        small_corpus_dir, deployment):
     """3 shards (uneven hash split) must stay exact too — the shard
@@ -232,7 +216,7 @@ def test_tier_respawns_fully_dead_shard(deployment):
 def test_cli_shard_build_and_search(ray_session, tmp_path,
                                     small_corpus_dir, capsys):
     """CLI round-trip over the sharded deployment: shard-build then
-    shard-search, taat and wand agree."""
+    shard-search, single and replicated workers agree."""
     import json as _json
     from onestools_eventlog_ray.cli import main as cli_main
     root = str(tmp_path / "cliroot")
@@ -249,5 +233,4 @@ def test_cli_shard_build_and_search(ray_session, tmp_path,
 
     taat = run()
     assert len(taat) == 5 and taat[0]["rank"] == 1
-    assert run(("--wand",)) == taat
     assert run(("--replicas", "2", "--worker-cpus", "0.25")) == taat

@@ -148,3 +148,22 @@ def test_rebuild_is_deterministic(small_corpus_dir, impact_dir, tmp_path):
             assert ta.equals(tb)
     with open(os.path.join(b, "_meta.json")) as fh:
         assert json.load(fh) == meta2
+
+
+def test_search_masks_tombstoned_docs(impact_dir, small_corpus, tmp_path):
+    """A soft-deleted doc never surfaces through sparse_vector; the
+    remaining hits keep their scores and order."""
+    import shutil
+    from onestools_eventlog_ray.state.tombstones import delete_docs
+    d = str(tmp_path / "idx")
+    shutil.copytree(impact_dir[0], d)        # keep the shared fixture clean
+    want, _ = _brute_impacts(small_corpus)
+    n_post = collections.Counter(t for _, t in want)
+    top3 = sorted(n_post, key=lambda t: (-n_post[t], t))[:3]
+    qw = dict(zip(top3, (2_000_000, 1_000_000, 500_000)))
+    before = SparseEngine(d).search(qw, k=10)
+    assert len(before) >= 2
+    delete_docs(d, [before[0][0]])
+    after = SparseEngine(d).search(qw, k=10)
+    assert before[0][0] not in [doc for doc, _ in after]
+    assert after[:len(before) - 1] == before[1:]
