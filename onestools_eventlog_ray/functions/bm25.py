@@ -13,6 +13,12 @@ accumulation iterates query terms in SORTED UNIQUE term order, ties
 broken ``(score desc, doc_id asc)`` — the engine scorer and this oracle
 follow the identical order, so ranks are reproducible across runs and
 parallelism levels.
+
+Every engine scorer accumulates through :func:`accumulate` over dense
+doc ordinals: a scorer loads its sorted doc_id column once at open,
+maps posting doc_ids to positions in it, and masks tombstones with a
+boolean ``live`` mask over the same column.  A query then costs one
+O(N) scratch array and no sort of its matches.
 """
 
 from __future__ import annotations
@@ -65,25 +71,44 @@ def topk_order_e6(scores: np.ndarray, doc_ids: np.ndarray,
     return order[:k]
 
 
-def accumulate(parts, deleted: np.ndarray | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """The TAAT kernel every scorer shares: ``(doc_ids, weights)`` parts
-    in accumulate order -> per-doc ``(uids, scores)``, uids sorted, with
-    the sorted ``deleted`` doc_ids masked out.  ``np.add.at`` adds each
-    doc's weights in part order, so callers that pass parts in sorted
-    term order get the oracle's float64 sums bit for bit.  The score
-    dtype follows the weights (float64 BM25, int64 e6 fixed point)."""
+def doc_mask(docs: np.ndarray, doc_ids) -> np.ndarray:
+    """Boolean mask over the sorted ``docs`` column, True at each of
+    ``doc_ids``; ids that are not in ``docs`` are ignored."""
+    ids = np.asarray(doc_ids, dtype=np.int64)
+    pos = np.searchsorted(docs, ids)
+    ok = pos < docs.size
+    pos = pos[ok]
+    mask = np.zeros(docs.size, dtype=bool)
+    mask[pos[docs[pos] == ids[ok]]] = True
+    return mask
+
+
+def accumulate(parts, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The TAAT kernel every scorer shares: ``(ordinals, weights)`` parts
+    in accumulate order -> per-doc ``(ordinals, scores)``, ordinals
+    ascending.  An ordinal is a doc's position in the scorer's sorted
+    doc_id column, so callers map results back with ``docs[ordinals]``;
+    ``live`` is that column's boolean mask of docs that may be returned
+    (tombstones and filters are False).
+
+    ``np.add.at`` adds each doc's weights in part order, so callers that
+    pass parts in sorted term order get the oracle's float64 sums bit
+    for bit.  The score dtype follows the weights (float64 BM25, exact
+    int64 e6/e12 fixed point).  A doc is returned when any part holds
+    it, whatever its score, so a zero weight still counts as a match.
+
+    The accumulator is dense: every call allocates O(N) scratch for the
+    ``N = live.size`` docs, however few postings the parts hold."""
     if not parts:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+    ords = np.concatenate([o for o, _ in parts])
     all_w = np.concatenate([w for _, w in parts])
-    uids, inverse = np.unique(np.concatenate([ids for ids, _ in parts]),
-                              return_inverse=True)
-    scores = np.zeros(uids.size, dtype=all_w.dtype)
-    np.add.at(scores, inverse, all_w)
-    if deleted is not None and deleted.size:
-        live = ~np.isin(uids, deleted)
-        uids, scores = uids[live], scores[live]
-    return uids, scores
+    scores = np.zeros(live.size, dtype=all_w.dtype)
+    np.add.at(scores, ords, all_w)
+    hit = np.zeros(live.size, dtype=bool)
+    hit[ords] = True
+    sel = np.flatnonzero(hit & live)
+    return sel, scores[sel]
 
 
 def term_weights(blob: bytes, idf_t: float, avgdl: float, k1: float,

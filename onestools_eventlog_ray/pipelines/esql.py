@@ -478,9 +478,19 @@ def _wildcard_to_like(p: str) -> str:
 
 _CMP = {"==": pc.equal, "!=": pc.not_equal, "<": pc.less,
         ">": pc.greater, "<=": pc.less_equal, ">=": pc.greater_equal}
+
+
+def _remainder(l, r):
+    """Java/ES ``%``: ``l - trunc(l / r) * r``, so the result takes the
+    sign of the dividend.  Arrow's integer divide already truncates."""
+    q = pc.divide(l, r)
+    if pa.types.is_floating(q.type):
+        q = pc.trunc(q)
+    return pc.subtract(l, pc.multiply(q, r))
+
+
 _ARITH = {"+": pc.add, "-": pc.subtract, "*": pc.multiply,
-          "/": pc.divide, "%": lambda a, b: pc.subtract(
-              a, pc.multiply(pc.divide(a, b), b))}
+          "/": pc.divide, "%": _remainder}
 
 
 def eval_expr(ast, tbl: pa.Table):
@@ -506,11 +516,6 @@ def eval_expr(ast, tbl: pa.Table):
         o, l, r = ast[1], eval_expr(ast[2], tbl), eval_expr(ast[3], tbl)
         if o in _CMP:
             return _CMP[o](l, r)
-        if o == "%":
-            # integer modulo via floor-div identity (arrow int divide
-            # truncates; operands in this engine's queries are ints)
-            q = pc.divide(l, r)
-            return pc.subtract(l, pc.multiply(q, r))
         return _ARITH[o](l, r)
     if op == "like":
         return pc.match_like(eval_expr(ast[1], tbl),

@@ -28,8 +28,9 @@ import re
 import numpy as np
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions.bm25 import (accumulate, idf as idf_fn,
-                                                   pick_topk, term_weights)
+from onestools_eventlog_ray.functions.bm25 import (accumulate, doc_mask,
+                                                   idf as idf_fn, pick_topk,
+                                                   term_weights)
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.sources.corpus import CorpusSpec, CODE_CORPUS_SPEC
@@ -292,6 +293,9 @@ class GenerationalSearchEngine:
         per_gen = [e.deleted for e in self.engines if e.deleted.size]
         self.deleted = np.unique(np.concatenate([root_del] + per_gen)) \
             if per_gen or root_del.size else root_del
+        # the union of the generations' doc_ids is the ordinal space
+        self.docs = np.unique(np.concatenate([e.docs for e in self.engines]))
+        self.live = ~doc_mask(self.docs, self.deleted)
         self.N = sum(e.N for e in self.engines)
         total_tokens = sum(e.avgdl * e.N for e in self.engines)
         self.avgdl = total_tokens / self.N if self.N else 0.0
@@ -319,9 +323,11 @@ class GenerationalSearchEngine:
             if not hits:
                 continue
             idf_t = idf_fn(self.N, sum(df for df, _ in hits))
-            parts += [term_weights(blob, idf_t, self.avgdl, self.k1, self.b)
-                      for _df, blob in hits]
-        uids, scores = accumulate(parts, self.deleted)
+            for _df, blob in hits:
+                ids, w = term_weights(blob, idf_t, self.avgdl, self.k1, self.b)
+                parts.append((np.searchsorted(self.docs, ids), w))
+        ords, scores = accumulate(parts, self.live)
+        uids = self.docs[ords]
         idx = pick_topk(tie)(scores, uids, k)
         return [(int(uids[i]), float(scores[i])) for i in idx]
 

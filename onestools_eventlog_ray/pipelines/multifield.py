@@ -59,6 +59,11 @@ class MultiFieldEngine:
         self.boosts = dict(boosts)
         self.engines = {f: SearchEngine(field_dir(root, f))
                         for f in sorted(boosts)}
+        # the union of the fields' doc_ids is the ordinal space; each
+        # field's scores arrive with its own tombstones already masked
+        self.docs = np.unique(np.concatenate(
+            [e.docs for e in self.engines.values()]))
+        self.live = np.ones(self.docs.size, dtype=bool)
 
     def search(self, terms: list[str], k: int = 10,
                tie: str = "float") -> list[tuple[int, float]]:
@@ -68,8 +73,10 @@ class MultiFieldEngine:
         parts = []
         for f in sorted(self.engines):           # deterministic field order
             ids_f, sc_f = self.engines[f]._taat_arrays(terms)
-            parts.append((ids_f, self.boosts[f] * sc_f))
-        uids, scores = accumulate(parts)
+            parts.append((np.searchsorted(self.docs, ids_f),
+                          self.boosts[f] * sc_f))
+        ords, scores = accumulate(parts, self.live)
+        uids = self.docs[ords]
         idx = pick_topk(tie)(scores, uids, k)
         return [(int(uids[i]), float(scores[i])) for i in idx]
 

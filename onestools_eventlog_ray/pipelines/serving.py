@@ -146,7 +146,8 @@ class ShardWorker:
 
     ``extra_deleted``: deployment-level tombstones (the index root's),
     unioned with the shard's own — the same rule GenerationalEngine
-    applies in-process."""
+    applies in-process.  Widening ``eng.deleted`` rebuilds the engine's
+    ``live`` mask."""
 
     def __init__(self, gen_dir: str, extra_deleted=None):
         from onestools_eventlog_ray.pipelines.query import SearchEngine
@@ -173,9 +174,14 @@ class ShardWorker:
         eng = self.eng
         uniq = sorted(set(terms))
         loaded = eng.load_terms(uniq)
-        uids, scores = accumulate(
-            [term_weights(loaded[t][1], idf_map[t], avgdl, eng.k1, eng.b)
-             for t in uniq if t in loaded and t in idf_map], eng.deleted)
+        parts = []
+        for t in uniq:
+            if t in loaded and t in idf_map:
+                ids, w = term_weights(loaded[t][1], idf_map[t], avgdl,
+                                      eng.k1, eng.b)
+                parts.append((np.searchsorted(eng.docs, ids), w))
+        ords, scores = accumulate(parts, eng.live)
+        uids = eng.docs[ords]
         idx = pick_topk(tie)(scores, uids, k)
         return (uids[idx].astype(np.int64), scores[idx])
 

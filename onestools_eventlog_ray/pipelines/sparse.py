@@ -39,6 +39,7 @@ pruning at scale.
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 
@@ -48,9 +49,10 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions.bm25 import accumulate
+from onestools_eventlog_ray.functions.bm25 import accumulate, doc_mask
 from onestools_eventlog_ray.functions.hashing import (term_partition,
                                                       term_partition_one)
+from onestools_eventlog_ray.pipelines.query import load_doc_ids
 from onestools_eventlog_ray.sources.corpus import (CODE_CORPUS_SPEC,
                                                    CorpusSpec, read_corpus)
 from onestools_eventlog_ray.stages.tokenize import emit_triples
@@ -162,8 +164,13 @@ class SparseEngine:
         with open(os.path.join(self.dir, "_meta.json")) as f:
             self.meta = json.load(f)
         self.P = int(self.meta["num_partitions"])
+        # the sidecar's own sorted doc_ids are the ordinal space, as a
+        # sidecar may stand alone, without a BM25 index and its docstore;
         # soft-deleted doc_ids are masked like every BM25 path
+        self.docs = load_doc_ids(sorted(glob.glob(
+            os.path.join(self.dir, "impact-*.parquet"))))
         self.deleted = load_tombstones(index_dir)
+        self.live = ~doc_mask(self.docs, self.deleted)
 
     def load_terms(self, terms: list[str]) -> dict[str, tuple]:
         """term -> (doc_ids int64[], w_e6 int64[]); shard-pruned reads
@@ -195,9 +202,10 @@ class SparseEngine:
         Terms are accumulated in sorted order; int64 arithmetic makes
         order irrelevant anyway."""
         loaded = self.load_terms(sorted(query_weights))
-        uids, scores = accumulate(
-            [(ids, ws * np.int64(query_weights[t]))
-             for t, (ids, ws) in loaded.items()], self.deleted)
+        ords, scores = accumulate(
+            [(np.searchsorted(self.docs, ids), ws * np.int64(query_weights[t]))
+             for t, (ids, ws) in loaded.items()], self.live)
+        uids = self.docs[ords]
         order = np.lexsort((uids, -scores))[:k]
         return [(int(uids[i]), int(scores[i])) for i in order]
 

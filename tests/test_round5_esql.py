@@ -72,6 +72,29 @@ def test_eval_arithmetic_and_compare():
     assert _ev("NOT (a == 2)", t).to_pylist() == [True, False, True, None]
 
 
+def test_eval_float_remainder_is_fmod(ray_session):
+    """``%`` on doubles is the Java/ES remainder: it takes the sign of
+    the dividend, like C ``fmod`` and DuckDB's ``%`` on DOUBLE.  (DuckDB
+    1.0's ``fmod()`` function floors instead, taking the divisor's sign.)"""
+    import math
+
+    import duckdb
+    import ray
+    x = [7.5, -7.5, 7.5, -7.5, 5.25, -0.75, 10.0, -3.0]
+    y = [2.0, 2.0, -2.0, -2.0, 1.5, 0.5, 4.0, 3.0]
+    tbl = pa.table({"i": pa.array(range(len(x)), pa.int64()),
+                    "x": pa.array(x, pa.float64()),
+                    "y": pa.array(y, pa.float64())})
+    got = run_esql("FROM t | EVAL m = x % y | SORT i | KEEP m",
+                   {"t": ray.data.from_arrow(tbl)})["m"].to_pylist()
+    want = [r[0] for r in duckdb.connect().execute(
+        "SELECT x % y FROM tbl ORDER BY i").fetchall()]
+    assert got == pytest.approx(want, abs=1e-12)
+    assert got == pytest.approx([math.fmod(a, b) for a, b in zip(x, y)],
+                                abs=1e-12)
+    assert got[1] < 0 and got[2] > 0            # sign of the dividend
+
+
 def test_eval_string_kernels():
     t = _tbl()
     assert _ev('TO_UPPER(s)', t).to_pylist() == ["FOO", "BAR", None, "QUUX"]

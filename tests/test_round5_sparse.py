@@ -100,12 +100,16 @@ def test_shards_sorted_and_routed(impact_dir):
 def test_search_matches_brute_force_dot_product(impact_dir, small_corpus):
     d, _ = impact_dir
     want, _ = _brute_impacts(small_corpus)
-    qw = {"spark": 2_000_000, "vector": 1_000_000, "window": 500_000}
+    # the three highest-df terms of the corpus, so the query matches
+    n_post = collections.Counter(t for _, t in want)
+    top3 = sorted(n_post, key=lambda t: (-n_post[t], t))[:3]
+    qw = dict(zip(top3, (2_000_000, 1_000_000, 500_000)))
     scores = collections.Counter()
     for (did, t), w in want.items():
         if t in qw:
             scores[did] += qw[t] * w
     expect = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    assert expect
     got = SparseEngine(d).search(qw, k=10)
     assert got == [(int(a), int(b)) for a, b in expect]
     assert all(isinstance(s, int) for _, s in got)  # int64-exact scores
