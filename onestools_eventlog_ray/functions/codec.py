@@ -36,6 +36,10 @@ Key properties:
   need no stats barrier, and postings stay valid when avgdl drifts
   across incremental generations.
 - Encode and decode are vectorized NumPy (no per-value Python loop).
+  ``decode_many`` decodes many postings with one varint pass per
+  section and one cumsum (blocks are self-contained, so the sections of
+  all blobs join into one buffer): the build merge's decode of a
+  partition's small fragmented terms, at one NumPy call cost for all.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ _BLOCK_DT = np.dtype([("first_doc", "<u8"), ("last_doc", "<u8"),
                       ("n_docs", "<u4"), ("gap_end", "<u4"),
                       ("tf_end", "<u4"), ("dl_end", "<u4"),
                       ("max_tf", "<u4"), ("min_dl", "<u4")])
+# the last 20 bytes of a block header: gap_end, tf_end, dl_end (+ max_tf, min_dl)
+_SECTION_ENDS = struct.Struct("<III8x")
 
 
 # --------------------------------------------------------------------------
@@ -58,39 +64,18 @@ _BLOCK_DT = np.dtype([("first_doc", "<u8"), ("last_doc", "<u8"),
 # --------------------------------------------------------------------------
 
 def varint_encode(values: np.ndarray) -> bytes:
-    """LEB128-encode an array of non-negative ints (vectorized).
+    """LEB128-encode an array of non-negative ints (vectorized)."""
+    return varint_encode_with_lengths(values)[0]
+
+
+def varint_encode_with_lengths(values: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """LEB128-encode an array of non-negative ints (vectorized) -> (bytes,
+    per-value byte lengths, for section offsets).
 
     For each value the bytes are ``(v >> 7j) & 0x7f`` with the high bit
     set on all but the last byte.  The loop below runs once per *byte
     position* (<= 10 iterations), not per value.
     """
-    v = np.ascontiguousarray(values, dtype=np.uint64)
-    if v.size == 0:
-        return b""
-    # number of 7-bit groups per value (>= 1)
-    nbits = np.zeros(v.shape, dtype=np.int64)
-    tmp = v.copy()
-    nz = tmp > 0
-    while nz.any():
-        nbits[nz] += 1
-        tmp >>= np.uint64(7)
-        nz = tmp > 0
-    nbytes = np.maximum(nbits, 1)
-    offsets = np.zeros(v.size + 1, dtype=np.int64)
-    np.cumsum(nbytes, out=offsets[1:])
-    out = np.zeros(offsets[-1], dtype=np.uint8)
-    max_len = int(nbytes.max())
-    for j in range(max_len):
-        mask = nbytes > j
-        pos = offsets[:-1][mask] + j
-        byte = ((v[mask] >> np.uint64(7 * j)) & np.uint64(0x7F)).astype(np.uint8)
-        cont = (nbytes[mask] - 1 > j)
-        out[pos] = byte | (cont.astype(np.uint8) << 7)
-    return out.tobytes()
-
-
-def varint_encode_with_lengths(values: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """varint_encode + the per-value byte length array (for section offsets)."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b"", np.empty(0, dtype=np.int64)
@@ -115,23 +100,22 @@ def varint_encode_with_lengths(values: np.ndarray) -> tuple[bytes, np.ndarray]:
 
 
 def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarray:
-    """Decode a varint byte run back to uint64 (vectorized via reduceat)."""
+    """Decode a varint byte run back to uint64 (vectorized via reduceat);
+    raise ``ValueError`` unless it holds exactly ``count`` whole values."""
     b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
+    ends = np.flatnonzero((b & 0x80) == 0)         # last byte of each value
+    if count is not None and ends.size != count:
+        raise ValueError(f"varint_decode: expected {count} values, got {ends.size}")
     if b.size == 0:
         return np.empty(0, dtype=np.uint64)
-    is_last = (b & 0x80) == 0
-    # start index of each encoded value
-    starts = np.empty(int(is_last.sum()), dtype=np.int64)
-    starts[0] = 0
-    ends = np.flatnonzero(is_last)
+    if ends.size == 0 or ends[-1] != b.size - 1:
+        raise ValueError("varint_decode: the run ends inside a value")
+    starts = np.zeros(ends.size, dtype=np.int64)   # first byte of each value
     starts[1:] = ends[:-1] + 1
     j = np.arange(b.size, dtype=np.int64)
     j -= np.repeat(starts, ends - starts + 1)      # byte position within its value
     contrib = (b & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * j.astype(np.uint64))
-    vals = np.add.reduceat(contrib, starts)
-    if count is not None and vals.size != count:
-        raise ValueError(f"varint_decode: expected {count} values, got {vals.size}")
-    return vals
+    return np.add.reduceat(contrib, starts)
 
 
 # --------------------------------------------------------------------------
@@ -316,17 +300,40 @@ def _ids_from_gaps(gaps: np.ndarray, headers: np.ndarray) -> np.ndarray:
     return (csum + np.repeat(base, counts)).astype(np.int64)
 
 
+def decode_many(blobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode many postings at once -> their (doc_ids, tfs, dls), each
+    concatenated in blob order.  Blocks are self-contained, so the block
+    headers and each varint section join into one buffer: one varint
+    pass per section and one cumsum for all blobs, whatever their number
+    (the per-call NumPy cost is paid once, not once per blob)."""
+    heads, gaps, tfs, dls = [], [], [], []
+    n_total = 0
+    for blob in blobs:
+        version, n_blocks, n_docs = _FIXED.unpack_from(blob, 0)
+        if version != _VERSION:
+            raise ValueError(f"bad posting version {version}")
+        if n_docs == 0:
+            continue
+        mv = memoryview(blob)
+        h = _FIXED.size + n_blocks * _BLOCK_DT.itemsize
+        g, t, d = _SECTION_ENDS.unpack_from(blob, h - _SECTION_ENDS.size)
+        heads.append(mv[_FIXED.size:h])
+        gaps.append(mv[h:h + g])
+        tfs.append(mv[h + g:h + g + t])
+        dls.append(mv[h + g + t:h + g + t + d])
+        n_total += n_docs
+    if n_total == 0:
+        z = np.empty(0, dtype=np.int64)
+        return z, z.copy(), z.copy()
+    headers = np.frombuffer(b"".join(heads), dtype=_BLOCK_DT)
+    return (_ids_from_gaps(varint_decode(b"".join(gaps), count=n_total), headers),
+            varint_decode(b"".join(tfs), count=n_total).astype(np.int64),
+            varint_decode(b"".join(dls), count=n_total).astype(np.int64))
+
+
 def decode_posting(blob: bytes) -> Posting:
     """Decode a full posting: three vectorized varint passes + one cumsum."""
-    headers, n_docs, payload_off = read_header(blob)
-    if n_docs == 0:
-        z = np.empty(0, dtype=np.int64)
-        return Posting(z, z.copy(), z.copy())
-    gap_s, tf_s, dl_s = _sections(blob, headers, payload_off)
-    gaps = varint_decode(gap_s, count=n_docs)
-    tfs = varint_decode(tf_s, count=n_docs).astype(np.int64)
-    dls = varint_decode(dl_s, count=n_docs).astype(np.int64)
-    return Posting(_ids_from_gaps(gaps, headers), tfs, dls)
+    return Posting(*decode_many([blob]))
 
 
 def concat_postings(blobs: list[bytes]) -> bytes:

@@ -44,7 +44,8 @@ Further commands:
   literal separators, compiled to an anchored non-greedy regex through
   the same vectorized extractor.
 - **MV_EXPAND <col>** — explodes a list column inside the batch via
-  list offsets (parent-index take), one output row per element.
+  list offsets (parent-index take), one output row per element; a row
+  whose list is null or empty is kept once with a null value, as in ES.
 - **INLINESTATS … BY key** — the aggregate joined back onto every
   row: STATS combiner + broadcast enrich on the BY key (global form
   appends constants) — the window-function idiom in piped form.
@@ -796,12 +797,16 @@ def apply_rowops(tbl: pa.Table, ops: list[tuple]) -> pa.Table:
                 zero_copy_only=False)
             lens = np.nan_to_num(
                 lens.astype(np.float64)).astype(np.int64)
-            parent = np.repeat(np.arange(lens.size), lens)
+            # a null or empty list keeps its row once, with a null value
+            parent = np.repeat(np.arange(lens.size), np.maximum(lens, 1))
             idx = pa.array(parent, pa.int64())
+            vpos = (np.cumsum(lens) - lens)[parent] + np.arange(parent.size) \
+                - np.searchsorted(parent, parent)   # index into flatten()
+            vidx = pa.array(vpos, pa.int64(), mask=(lens == 0)[parent])
             cols = {}
             for c in tbl.column_names:
                 if c == col:
-                    cols[c] = arr.flatten()
+                    cols[c] = arr.flatten().take(vidx)
                 else:
                     src_c = tbl[c]
                     if isinstance(src_c, pa.ChunkedArray):

@@ -14,7 +14,9 @@ engine stays on the Dataset API):
                      tokenize + split by gkey)-->            G sub-tables
     gkey g        --(_encode_partition_ranged: concat + lexsort +
                      encode runs, split runs by pkey)-->     P sub-tables
-    pkey p        --(_merge_partition: splice salted runs +
+    pkey p        --(_merge_partition: one batched decode +
+                     one re-encode of the small fragmented
+                     terms, header splice of the large ones +
                      write shard + checkpoint record)-->     manifest row
 
 ONE corpus read produces the docstore, the corpus stats and the shards.

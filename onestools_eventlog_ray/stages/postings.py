@@ -15,9 +15,10 @@ df estimate:
 - each run is encoded independently into the block codec
   (``make_encode_runs``); because salts are doc_id RANGES, a term's runs
   cover disjoint ascending id ranges, so the merge grouped by ``pkey``
-  (``make_merge_and_write``) is a header splice
-  (``codec.concat_postings``), except that small fragmented postings
-  are re-encoded into one.
+  (``make_merge_and_write``) needs no sort: the small fragmented terms
+  of a partition are ONE batched decode (``codec.decode_many``) plus ONE
+  re-encode (``codec.encode_run_group``), and only large terms are
+  header-spliced one by one (``codec.concat_postings``).
 
 Postings are equal for every salt fan-out
 (tests/test_salt_equivalence.py).
@@ -96,15 +97,24 @@ def make_encode_runs(block_size: int):
 
 def make_merge_and_write(index_dir: str, fingerprint: str,
                          reencode_block_size: int):
-    """Merger for one partition's runs: splice each term's salted runs
+    """Merger for one partition's runs: join each term's salted runs
     into one posting, write the shard parquet atomically, emit the
     checkpoint record (lineage + metrics) for the partition.
 
-    A term that is SMALL but fragmented (metadata bloat from universal
-    fixed-range salting: min(df, S) runs each with their own block
-    headers) is re-encoded into one fresh posting with
-    ``reencode_block_size``; large terms merge by zero-copy header
-    splice."""
+    Per-term df/cf, the term classes and the re-encode are array
+    operations over the partition's (term, salt)-sorted runs:
+
+    - a single-run term keeps its run's blob;
+    - a SMALL but fragmented term (metadata bloat from universal
+      fixed-range salting: min(df, S) runs each with their own block
+      headers) is re-encoded with ``reencode_block_size``; all such
+      terms of the partition go through ONE ``codec.decode_many`` and
+      ONE ``codec.encode_run_group``;
+    - a large term merges by zero-copy header splice
+      (``codec.concat_postings``), the only per-term Python left.
+
+    Salts are ascending doc_id ranges, so a term's runs in salt order are
+    already id-sorted; runs that overlap raise ``ValueError``."""
 
     def merge_and_write(group: pa.Table) -> pa.Table:
         from onestools_eventlog_ray.functions.runtime import \
@@ -116,70 +126,45 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
         if isinstance(term_col, pa.ChunkedArray):
             term_col = term_col.combine_chunks()
         d = term_col.dictionary_encode()
-        tidx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        terms = d.dictionary.to_pylist()
-        salts = group["salt"].to_numpy(zero_copy_only=False).astype(np.int64)
-        dfr = group["df_run"].to_numpy(zero_copy_only=False)
-        cfr = group["cf_run"].to_numpy(zero_copy_only=False)
-        blobs = group["blob"].to_pylist()
+        terms = np.asarray(d.dictionary.to_pylist(), dtype=object)
+        torder = np.argsort(terms)              # shard rows are term-sorted
+        rank = np.empty(terms.size, dtype=np.int64)
+        rank[torder] = np.arange(terms.size)
+        tkey = rank[d.indices.to_numpy(zero_copy_only=False)]
+        salts = group["salt"].to_numpy(zero_copy_only=False)
+        order = np.lexsort((salts, tkey))
+        starts = np.flatnonzero(np.diff(tkey[order], prepend=-1))
+        runs = np.diff(np.append(starts, order.size))
+        df = np.add.reduceat(group["df_run"].to_numpy(zero_copy_only=False)[order], starts)
+        cf = np.add.reduceat(group["cf_run"].to_numpy(zero_copy_only=False)[order], starts)
+        blobs = np.asarray(group["blob"].to_pylist(), dtype=object)[order]
 
-        order = np.lexsort((salts, tidx))
-        change = np.empty(tidx.size, dtype=bool)
-        if tidx.size:
-            change[0] = True
-            change[1:] = np.diff(tidx[order]) != 0
-        starts = np.flatnonzero(change)
-        ends = np.append(starts[1:], tidx.size)
+        out = blobs[starts]                     # single-run terms keep their blob
+        small = (runs > 1) & (df < 64 * reencode_block_size)
+        if small.any():
+            ids, tfs, dls = codec.decode_many(blobs[np.repeat(small, runs)])
+            re_starts = np.cumsum(df[small]) - df[small]
+            ascending = np.diff(ids) > 0
+            ascending[re_starts[1:] - 1] = True  # term boundaries
+            if ids.size != df[small].sum() or not ascending.all():
+                raise ValueError("merge: runs overlap, are out of order or miscount df")
+            out[small] = codec.encode_run_group(re_starts, ids, tfs, dls,
+                                                reencode_block_size)
+        for t in np.flatnonzero((runs > 1) & ~small):
+            out[t] = codec.concat_postings(blobs[starts[t]:starts[t] + runs[t]])
 
-        out_terms, out_df, out_cf = [], [], []
-        out_blob: list[bytes | None] = []
-        re_idx: list[int] = []          # positions to fill from the batch re-encode
-        re_ids, re_tfs, re_dls, re_starts = [], [], [], []
-        re_pos = 0
-        for s, e in zip(starts, ends):
-            rows = order[s:e]
-            df_total = int(dfr[rows].sum())
-            out_terms.append(terms[tidx[rows[0]]])
-            out_df.append(df_total)
-            out_cf.append(int(cfr[rows].sum()))
-            run_blobs = [blobs[r] for r in rows]
-            if len(run_blobs) > 1 and df_total < 64 * reencode_block_size:
-                # small fragmented posting (universal range salting):
-                # queue it for ONE batched vectorized re-encode below
-                ps = [codec.decode_posting(rb) for rb in run_blobs]
-                ids = np.concatenate([p.doc_ids for p in ps])
-                o = np.argsort(ids, kind="stable")
-                re_ids.append(ids[o])
-                re_tfs.append(np.concatenate([p.tfs for p in ps])[o])
-                re_dls.append(np.concatenate([p.dls for p in ps])[o])
-                re_starts.append(re_pos)
-                re_pos += ids.size
-                re_idx.append(len(out_blob))
-                out_blob.append(None)
-            else:
-                # salts ascending == doc_id ranges ascending -> header splice
-                out_blob.append(codec.concat_postings(run_blobs))
-        if re_idx:
-            rebuilt = codec.encode_run_group(
-                np.asarray(re_starts, dtype=np.int64),
-                np.concatenate(re_ids), np.concatenate(re_tfs),
-                np.concatenate(re_dls), reencode_block_size)
-            for pos, blob in zip(re_idx, rebuilt):
-                out_blob[pos] = blob
-
-        torder = np.argsort(np.asarray(out_terms, dtype=object), kind="stable")
         shard = pa.table({
-            "term": pa.array([out_terms[i] for i in torder], pa.string()),
-            "df": pa.array([out_df[i] for i in torder], pa.int64()),
-            "cf": pa.array([out_cf[i] for i in torder], pa.int64()),
-            "posting": pa.array([out_blob[i] for i in torder], pa.large_binary()),
+            "term": pa.array(terms[torder], pa.string()),
+            "df": pa.array(df, pa.int64()),
+            "cf": pa.array(cf, pa.int64()),
+            "posting": pa.array(out, pa.large_binary()),
         })
         shard_path = os.path.join(index_dir, "shards", f"part-{pkey:05d}.parquet")
         ckpt.atomic_write_bytes(shard_path, lambda tmp: pq.write_table(shard, tmp))
         rec = ckpt.PartitionRecord(
             partition_id=pkey, input_fingerprint=fingerprint,
             output_path=shard_path, n_terms=shard.num_rows,
-            n_postings=int(sum(out_df)),
+            n_postings=int(df.sum()),
             build_wall_s=time.monotonic() - t0, status="done")
         ckpt.write_record(index_dir, rec)
         return pa.table({

@@ -298,7 +298,8 @@ def test_mv_expand_and_functions(ray_session):
                       pa.list_(pa.float64()))}))}
     got = run_esql('FROM e | MV_EXPAND v | STATS n = COUNT(*), '
                    'mx = MAX(v) BY id | SORT id', t).to_pydict()
-    assert got == {"id": [1, 3], "n": [3, 2], "mx": [5.0, 2.0]}
+    # the empty list of id 2 keeps one row with a null value
+    assert got == {"id": [1, 2, 3], "n": [3, 1, 2], "mx": [5.0, None, 2.0]}
     got2 = run_esql('FROM e | EVAL c = MV_COUNT(v), mn = MV_MIN(v), '
                     'mx = MV_MAX(v), s = MV_SUM(v), a = MV_AVG(v) '
                     '| KEEP id, c, mn, mx, s, a | SORT id', t).to_pydict()
@@ -307,6 +308,21 @@ def test_mv_expand_and_functions(ray_session):
     assert got2["mx"] == [5.0, None, 2.0]
     assert got2["s"] == [9.0, None, 4.0]
     assert got2["a"] == [3.0, None, 2.0]
+
+
+def test_mv_expand_keeps_null_and_empty_lists(ray_session):
+    """ES keeps a row whose multi-value field is null or empty, once, with
+    a null value; the other columns and the row order are kept."""
+    import ray.data
+    t = {"e": ray.data.from_arrow(pa.table({
+        "id": [1, 2, 3, 4, 5],
+        "v": pa.array([None, [7, 8], [], [9], None], pa.list_(pa.int64()))}))}
+    got = run_esql('FROM e | MV_EXPAND v | SORT id, v', t).to_pydict()
+    assert got == {"id": [1, 2, 2, 3, 4, 5], "v": [None, 7, 8, None, 9, None]}
+    none = {"e": ray.data.from_arrow(pa.table({
+        "id": [1, 2], "v": pa.array([[], None], pa.list_(pa.int64()))}))}
+    got = run_esql('FROM e | MV_EXPAND v | SORT id', none).to_pydict()
+    assert got == {"id": [1, 2], "v": [None, None]}
 
 
 def test_case_function(ray_session):
