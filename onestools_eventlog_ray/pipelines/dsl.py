@@ -280,10 +280,10 @@ def simple_query_string(eng: SearchEngine, query: str, k: int = 10,
                         max_expansions: int = 50) -> pa.Table:
     """ES ``simple_query_string`` executed against this engine:
     parse the mini-language, expand prefix clauses against the term
-    dictionary (``expand_prefix_terms`` — range-filtered dictionary-page
-    skim, posting blobs pruned), assemble the equivalent ``bool`` node
-    and run it through :func:`es_search` (ONE TAAT pass; must/must_not
-    gating df-bounded).  -> (rank, doc_id, score_e6).
+    dictionary (``expand_prefix_terms`` — range-filtered read of the
+    ``term`` column, posting blobs pruned), assemble the equivalent
+    ``bool`` node and run it through :func:`es_search` (ONE TAAT pass;
+    must/must_not gating df-bounded).  -> (rank, doc_id, score_e6).
 
     Prefix clauses use the scoring_boolean rewrite: every expansion
     contributes its own BM25 weight x the clause boost, so the SQL

@@ -34,6 +34,7 @@ from onestools_eventlog_ray.functions.bm25 import (accumulate, doc_mask,
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.sources.corpus import CorpusSpec, CODE_CORPUS_SPEC
+from onestools_eventlog_ray.stages.postings import write_shard
 
 _GEN_RE = re.compile(r"^gen-(\d{4})$")
 
@@ -471,11 +472,11 @@ def shrink_index(src_index: str, out_dir: str, factor: int = 2) -> dict:
         if not tbls:
             return 0
         t = pa_.concat_tables(tbls)
-        order = (["term", "doc_id"] if kind == "pos" else ["term"])
-        t = t.sort_by([(c, "ascending") for c in order])
-        tmp = dst + ".tmp"
-        pq_.write_table(t, tmp)
-        os.replace(tmp, dst)
+        if kind == "pos":
+            t = t.sort_by([("term", "ascending"), ("doc_id", "ascending")])
+            ckpt.atomic_write_bytes(dst, lambda tmp: pq_.write_table(t, tmp))
+        else:
+            write_shard(t.sort_by("term"), dst)
         return t.num_rows
 
     jobs = []
@@ -579,12 +580,14 @@ def split_index(src_index: str, out_dir: str, factor: int = 2) -> dict:
         for j in sorted(set(pk.tolist())):
             assert j % P == r, (j, P, r)   # routing congruence invariant
             sub = t.filter(pa_.array(pk == j))
-            order = (["term", "doc_id"] if kind == "pos" else ["term"])
-            sub = sub.sort_by([(c, "ascending") for c in order])
             dst = dst_tpl.format(j=j)
-            tmp = dst + ".tmp"
-            pq_.write_table(sub, tmp)
-            os.replace(tmp, dst)
+            if kind == "pos":
+                sub = sub.sort_by([("term", "ascending"),
+                                   ("doc_id", "ascending")])
+                ckpt.atomic_write_bytes(
+                    dst, lambda tmp, sub=sub: pq_.write_table(sub, tmp))
+            else:
+                write_shard(sub.sort_by("term"), dst)
             total += sub.num_rows
         return total
 

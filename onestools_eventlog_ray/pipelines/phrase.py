@@ -39,6 +39,7 @@ from onestools_eventlog_ray.sources.corpus import (CorpusSpec,
                                                    CODE_CORPUS_SPEC,
                                                    read_corpus)
 from onestools_eventlog_ray.stages.normalize import add_doc_id
+from onestools_eventlog_ray.stages.postings import TermShards
 from onestools_eventlog_ray.state.checkpoint import atomic_write_bytes
 
 
@@ -142,6 +143,8 @@ class PhraseEngine:
                 num_partitions = max(int(os.path.basename(s)[4:9])
                                      for s in shards) + 1
         self.P = int(num_partitions)
+        self._shards = TermShards(os.path.join(self.pos_dir,
+                                               "pos-{:05d}.parquet"))
 
     def _load_flat(self, terms: list[str]
                    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -156,10 +159,9 @@ class PhraseEngine:
         out: dict[str, tuple[np.ndarray, np.ndarray]] = \
             {t: empty for t in terms}
         for pkey, ts in by_shard.items():
-            path = os.path.join(self.pos_dir, f"pos-{pkey:05d}.parquet")
-            if not os.path.exists(path):
+            tbl = self._shards.read(pkey, ts)
+            if tbl is None:
                 continue
-            tbl = pq.read_table(path, filters=[("term", "in", ts)])
             for t in ts:
                 sub = tbl.filter(pc.equal(tbl["term"], t))
                 if sub.num_rows == 0:

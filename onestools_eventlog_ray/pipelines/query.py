@@ -7,22 +7,17 @@ over its ``text``-analyzed fields
 here it is built from the shards:
 
 - a query touches ONLY the shards its terms hash to (partition pruning —
-  the J4 lookup of SURVEY.md §2.5), read with a parquet ``term IN (...)``
-  row filter;
+  the J4 lookup of SURVEY.md §2.5), and in each shard only the 128-term
+  row group whose term range holds the term: shards stay open, with
+  their row-group term ranges resident (``stages.postings.TermShards``);
 - TAAT (term-at-a-time) scoring is the only scorer: float64, per-doc
   accumulation in sorted-unique-term order through the shared
   :func:`~onestools_eventlog_ray.functions.bm25.accumulate` kernel,
   tie-break ``(score desc, doc_id asc)`` — rank-identical to the
   brute-force oracle.
 
-``SearchEngine`` holds shard/posting caches — the stateful-scorer analog
-of the reference's sticky ES node state (``ElasticSearchStorage.cs:245-256``)
-— and is the per-actor state of ``score_queries``'s actor pool.  At open
-it reads the docstore's sorted doc_id column (``docs``) and builds the
-``live`` mask from its tombstones.  ``_cache`` holds raw ``(df, blob)``
-per term; ``_w_cache`` holds each hot term's ``(doc ordinals, BM25
-weights)``, an ordinal being the doc's position in ``docs``, so a warm
-query is one dense accumulate and a top-k cut.
+``SearchEngine`` is the per-actor state of ``score_queries``'s actor
+pool.
 """
 
 from __future__ import annotations
@@ -40,6 +35,7 @@ from onestools_eventlog_ray.functions.bm25 import (accumulate, doc_mask,
                                                    idf as idf_fn, pick_topk,
                                                    term_weights)
 from onestools_eventlog_ray.functions.hashing import term_partition_one
+from onestools_eventlog_ray.stages.postings import TermShards
 from onestools_eventlog_ray.state import checkpoint as ckpt
 
 _TERM_CACHE_MAX = 4096
@@ -67,6 +63,23 @@ def load_doc_ids(files: list[str]) -> np.ndarray:
 
 
 class SearchEngine:
+    """BM25 over one index directory, with open shards and posting
+    caches — the stateful-scorer analog of the reference's sticky ES
+    node state (``ElasticSearchStorage.cs:245-256``).
+
+    At open it reads the docstore's sorted doc_id column (``docs``) and
+    builds the ``live`` mask from its tombstones.  ``_cache`` holds raw
+    ``(df, blob)`` per term, None for a term with no posting;
+    ``_w_cache`` holds each hot term's ``(doc ordinals, BM25 weights)``,
+    an ordinal being the doc's position in ``docs``, so a warm query is
+    one dense accumulate and a top-k cut.
+
+    Snapshot rule: each shard is opened once, at its first probe, and
+    read from that open file from then on.  A shard replaced on disk
+    under an open engine (a rebuild's atomic rename) is not seen; the
+    engine answers from the files it opened, and cached terms from its
+    caches.  Open a new engine to see a rewritten index."""
+
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
         stats = ckpt.read_stats(index_dir)
@@ -91,6 +104,8 @@ class SearchEngine:
         self.P = stats["num_partitions"]
         bm = stats["config"]["bm25"]
         self.k1, self.b = bm["k1"], bm["b"]
+        self._shards = TermShards(os.path.join(index_dir, "shards",
+                                               "part-{:05d}.parquet"))
         self._cache: OrderedDict[str, tuple[int, bytes] | None] = OrderedDict()
         # decoded (doc ordinals, weights) per term: weights depend only
         # on the index's fixed stats, so repeated queries on hot terms
@@ -111,13 +126,11 @@ class SearchEngine:
 
     # ---- posting access -------------------------------------------------
 
-    def _shard_file(self, pkey: int) -> str:
-        return os.path.join(self.index_dir, "shards", f"part-{pkey:05d}.parquet")
-
     def load_terms(self, terms: list[str]) -> dict[str, tuple[int, bytes]]:
-        """term -> (df, posting blob); reads only the shards the terms
-        hash to, with a parquet-level ``term IN`` filter (row-group +
-        dictionary pruning)."""
+        """term -> (df, posting blob) of each term with a posting.  A
+        term missing from ``_cache`` is read from the one shard it
+        hashes to, and from that shard only the row group whose term
+        range holds it (``stages.postings.TermShards``)."""
         out: dict[str, tuple[int, bytes]] = {}
         missing_by_shard: dict[int, list[str]] = {}
         for t in terms:
@@ -130,11 +143,9 @@ class SearchEngine:
                 missing_by_shard.setdefault(
                     term_partition_one(t, self.P), []).append(t)
         for pkey, ts in missing_by_shard.items():
-            path = self._shard_file(pkey)
             found: dict[str, tuple[int, bytes]] = {}
-            if os.path.exists(path):
-                tbl = pq.read_table(path, columns=["term", "df", "posting"],
-                                    filters=[("term", "in", ts)])
+            tbl = self._shards.read(pkey, ts, ["term", "df", "posting"])
+            if tbl is not None:
                 for term, df, blob in zip(tbl["term"].to_pylist(),
                                           tbl["df"].to_pylist(),
                                           tbl["posting"].to_pylist()):
@@ -1208,10 +1219,11 @@ def expand_prefix_terms(index_dir: str, prefix: str,
     by query-time prefix clauses (``simple_query_string`` ``foo*``).
 
     Serving-path shape: a driver-local range-filtered read of each
-    shard's dictionary pages (posting blobs pruned by the column
-    projection), same as :meth:`SearchEngine.load_terms`.  For a
-    dictionary too large to skim per query, :func:`prefix_term_stats`
-    is the distributed variant of the same scan."""
+    shard's ``term`` column; the row groups' term statistics prune the
+    groups outside the range, and the column projection the posting
+    blobs.  For a dictionary too large to skim per query,
+    :func:`prefix_term_stats` is the distributed variant of the same
+    scan."""
     import glob
     if not prefix:
         return []

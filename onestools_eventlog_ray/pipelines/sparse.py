@@ -55,6 +55,7 @@ from onestools_eventlog_ray.functions.hashing import (term_partition,
 from onestools_eventlog_ray.pipelines.query import load_doc_ids
 from onestools_eventlog_ray.sources.corpus import (CODE_CORPUS_SPEC,
                                                    CorpusSpec, read_corpus)
+from onestools_eventlog_ray.stages.postings import TermShards
 from onestools_eventlog_ray.stages.tokenize import emit_triples
 from onestools_eventlog_ray.state.checkpoint import atomic_write_bytes
 from onestools_eventlog_ray.state.tombstones import load_tombstones
@@ -171,20 +172,20 @@ class SparseEngine:
             os.path.join(self.dir, "impact-*.parquet"))))
         self.deleted = load_tombstones(index_dir)
         self.live = ~doc_mask(self.docs, self.deleted)
+        self._shards = TermShards(os.path.join(self.dir,
+                                               "impact-{:05d}.parquet"))
 
     def load_terms(self, terms: list[str]) -> dict[str, tuple]:
-        """term -> (doc_ids int64[], w_e6 int64[]); shard-pruned reads
-        with a parquet ``term IN`` row filter."""
+        """term -> (doc_ids int64[], w_e6 int64[]); each term is read
+        from the one sidecar file it hashes to, through the engine's
+        term probe (``stages.postings.TermShards``)."""
         by_shard: dict[int, list[str]] = {}
         for t in terms:
             by_shard.setdefault(term_partition_one(t, self.P), []).append(t)
         out: dict[str, tuple] = {}
         for pkey, ts in by_shard.items():
-            path = os.path.join(self.dir, f"impact-{pkey:05d}.parquet")
-            if not os.path.exists(path):
-                continue
-            tbl = pq.read_table(path, filters=[("term", "in", ts)])
-            if tbl.num_rows == 0:
+            tbl = self._shards.read(pkey, ts)
+            if tbl is None or tbl.num_rows == 0:
                 continue
             terms_np = np.asarray(tbl["term"].to_pylist())
             ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)

@@ -1,4 +1,5 @@
-"""Posting-build stages: run encoding and salted-run merge.
+"""Posting-build stages: run encoding, salted-run merge, and the term
+shard layout's writer and reader.
 
 THE wide operation of the engine (SURVEY.md §2.6 A1, §7.3) co-locates
 each term's (doc_id, tf, dl) rows.  Zipf-hot terms (``def``, ``the``,
@@ -22,6 +23,13 @@ df estimate:
 
 Postings are equal for every salt fan-out
 (tests/test_salt_equivalence.py).
+
+A term shard is term-sorted rows in row groups of ``SHARD_ROW_GROUP``
+terms (``write_shard``), each with its ``term`` min/max in the footer.
+``TermShards`` is the read side: it opens a shard once, keeps those
+ranges resident and reads only the row group that can hold a probed
+term — a resident index over on-disk term blocks, like Lucene's
+block-tree terms dictionary.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from onestools_eventlog_ray.functions import codec
@@ -44,6 +53,85 @@ RUN_SCHEMA = pa.schema([
     ("cf_run", pa.int64()),
     ("blob", pa.large_binary()),
 ])
+
+# terms per row group of a term shard: the unit one cold probe reads
+SHARD_ROW_GROUP = 128
+
+
+def write_shard(table: pa.Table, path: str) -> None:
+    """Write term-sorted shard rows atomically in row groups of
+    ``SHARD_ROW_GROUP`` rows.  Terms are unique within a shard, so
+    dictionary pages are pure overhead, and statistics on the posting
+    blobs would dominate the footer: only ``term`` keeps its min/max,
+    the range :class:`TermShards` prunes row groups by."""
+    ckpt.atomic_write_bytes(path, lambda tmp: pq.write_table(
+        table, tmp, row_group_size=SHARD_ROW_GROUP, compression="zstd",
+        use_dictionary=False, write_statistics=["term"]))
+
+
+class TermShards:
+    """Term probes over term-sorted parquet files ``path.format(pkey)``:
+    the one read path of the term shards and of the sidecars keyed by
+    term.
+
+    A file is opened at most once, at its first probe, as a
+    ``pq.ParquetFile``; the ``(min, max)`` term of each row group is read
+    from its footer statistics and stays resident.  A probe reads only
+    the row groups whose range holds a probed term — one group per term
+    in a :func:`write_shard` file.  A group without a term range (no
+    statistics, or a max too long for them) may hold any term, so a
+    one-group file of an older writer reads whole.
+
+    The open handle is a snapshot: a file replaced on disk after it was
+    opened (``ckpt.atomic_write_bytes`` renames a new file over it) is
+    still read from the file that was opened.  A missing file is not
+    remembered, so one written later is found."""
+
+    def __init__(self, path: str):
+        self.path = path
+        self._open: dict[int, tuple] = {}
+
+    def _file(self, pkey: int) -> tuple | None:
+        f = self._open.get(pkey)
+        if f is None:
+            try:
+                pf = pq.ParquetFile(self.path.format(pkey))
+            except FileNotFoundError:
+                return None
+            md = pf.metadata
+            col = pf.schema_arrow.get_field_index("term")
+            lo = np.full(md.num_row_groups, "", dtype=object)
+            hi = np.full(md.num_row_groups, "", dtype=object)
+            every = np.ones(md.num_row_groups, dtype=bool)
+            for i in range(md.num_row_groups):
+                st = md.row_group(i).column(col).statistics
+                # a bound longer than the writer's statistics size limit
+                # is dropped and reads back as "": an empty min still
+                # bounds the group from below, an empty max bounds nothing
+                if st is not None and st.has_min_max and st.max != "":
+                    lo[i], hi[i], every[i] = st.min, st.max, False
+            f = self._open[pkey] = (pf, lo, hi, every)
+        return f
+
+    def read(self, pkey: int, terms: list[str],
+             columns: list[str] | None = None) -> pa.Table | None:
+        """The rows of file ``pkey`` whose term is in ``terms``, in file
+        order; None when the file is missing or no row group can hold
+        any of ``terms``."""
+        f = self._file(pkey)
+        if f is None:
+            return None
+        pf, lo, hi, every = f
+        groups = every.copy()
+        for t in terms:
+            groups |= (lo <= t) & (hi >= t)
+        tbls = [pf.read_row_group(int(i), columns=columns, use_threads=False)
+                for i in np.flatnonzero(groups)]
+        if not tbls:
+            return None
+        tbl = pa.concat_tables(tbls) if len(tbls) > 1 else tbls[0]
+        return tbl.filter(pc.is_in(tbl["term"],
+                                   value_set=pa.array(terms, pa.string())))
 
 
 def make_encode_runs(block_size: int):
@@ -160,7 +248,7 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
             "posting": pa.array(out, pa.large_binary()),
         })
         shard_path = os.path.join(index_dir, "shards", f"part-{pkey:05d}.parquet")
-        ckpt.atomic_write_bytes(shard_path, lambda tmp: pq.write_table(shard, tmp))
+        write_shard(shard, shard_path)
         rec = ckpt.PartitionRecord(
             partition_id=pkey, input_fingerprint=fingerprint,
             output_path=shard_path, n_terms=shard.num_rows,
