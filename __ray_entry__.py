@@ -229,10 +229,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def bm25_sharded_serving(sf_dir):
         """Doc-sharded scatter-gather serving (`pipelines/serving.py`):
         route docs to 4 hash shards, one independent index build per
-        shard, one engine ACTOR per shard, two-phase exact BM25
-        (scatter local df -> global idf -> scatter score under global
-        stats -> O(k)-per-shard gather) — the ES data-tier shape
-        (dfs_query_then_fetch) for an index bigger than one node.
+        shard, one engine ACTOR per shard, exact BM25 (global df read
+        once at tier open -> global idf -> one scatter of score under
+        global stats -> O(k)-per-shard gather) — the ES data-tier shape
+        (query_then_fetch) for an index bigger than one node.
         Rank-AND-score identical to the monolithic index, so the oracle
         is the very same SQL as bm25_topk."""
         from onestools_eventlog_ray.config import EngineConfig

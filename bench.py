@@ -178,88 +178,6 @@ def run_headline(clock: _StageClock) -> dict:
     }
 
 
-def run_serving(index_dir: str, n_queries: int = 256) -> dict:
-    """Concurrent-clients serving benchmark (round-4 verdict item #3).
-
-    Closed-loop model against a LONG-LIVED SEARCH-ACTOR POOL — the real
-    serving-tier shape (an ES data node owns its warm shards): one
-    engine actor per CPU, each explicitly warmed on the full query
-    vocabulary, each client pinning its own connection (client ->
-    actor[ci % n]) so the closed loop itself balances work — per-query
-    routing (qid % n) measured 2x slower from heavy-query skew.  The
-    first cut used one-off stateless tasks and random placement;
-    measured on this box that SPRAYS the per-process shard caches
-    across all workers, so the tail is cold hot-term decodes and QPS
-    *fell* as CPUs rose (8 cpus 211 QPS -> 32 cpus 84 QPS, p99 2.4 s).
-    Per-query latency is the client-observed round trip (submit ->
-    result on the driver), so it includes actor queueing — what a real
-    search tier's p95 means.
-    -> {qps, p50_ms, p95_ms, p99_ms, clients, actors, n_queries}."""
-    import threading
-    import numpy as np
-    import ray
-
-    @ray.remote(num_cpus=1)
-    class _ServeActor:
-        def __init__(self, index_dir: str):
-            from onestools_eventlog_ray.pipelines.query import SearchEngine
-            self.eng = SearchEngine(index_dir)
-
-        def warm(self, all_terms: list) -> int:
-            # decode every query term once -> steady-state caches
-            return len(self.eng.search(all_terms, 10, tie="e6"))
-
-        def query(self, terms: list, k: int) -> int:
-            return len(self.eng.search(terms, k, tie="e6"))
-
-    queries = bench_queries(n_queries)
-    n_actors = min(32, NUM_CPUS)
-    actors = [_ServeActor.remote(index_dir) for _ in range(n_actors)]
-    all_terms = sorted({t for q in queries for t in q["terms"]})
-    ray.get([a.warm.remote(all_terms) for a in actors])
-    n_clients = int(os.environ.get("OEL_SERVE_CLIENTS", "0")) \
-        or min(32, NUM_CPUS)
-    qlock = threading.Lock()
-    qiter = iter(queries)
-    lats: list[list[float]] = [[] for _ in range(n_clients)]
-
-    def client(ci: int) -> None:
-        while True:
-            with qlock:
-                q = next(qiter, None)
-            if q is None:
-                return
-            t0 = time.perf_counter()
-            # every actor holds the full replicated index, so a client
-            # pins its own connection (ci -> actor) — work-balanced by
-            # the closed loop itself, no per-query routing skew
-            a = actors[ci % n_actors]
-            ray.get(a.query.remote(q["terms"], q["k"]))
-            lats[ci].append(time.perf_counter() - t0)
-
-    threads = [threading.Thread(target=client, args=(i,))
-               for i in range(n_clients)]
-    t0 = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall = time.perf_counter() - t0
-    lat_ms = np.sort(np.concatenate([np.asarray(x) for x in lats])) * 1e3
-
-    def pct(p):
-        return round(float(lat_ms[min(len(lat_ms) - 1,
-                                      int(p * (len(lat_ms) - 1)))]), 2)
-
-    out = {"qps": round(n_queries / wall, 1),
-           "p50_ms": pct(0.50), "p95_ms": pct(0.95), "p99_ms": pct(0.99),
-           "clients": n_clients, "actors": n_actors,
-           "n_queries": n_queries}
-    for a in actors:
-        ray.kill(a)
-    return out
-
-
 def run_serving_sharded(n_queries: int = 256, n_routers: int = 2) -> dict:
     """Sharded-tier serving benchmark: the index-bigger-than-one-node
     path (`pipelines/serving.py`).  8 doc-hash shards, ``n_routers``
@@ -279,7 +197,7 @@ def run_serving_sharded(n_queries: int = 256, n_routers: int = 2) -> dict:
     queries = bench_queries(n_queries)
     all_terms = sorted({t for q in queries for t in q["terms"]})
     routers = [TierRouter.remote(root) for _ in range(n_routers)]
-    ray.get([r.warm.remote(all_terms) for r in routers])
+    ray.get([r.search.remote(all_terms, 10, "e6") for r in routers])
     n_clients = 8 * n_routers
     qlock = threading.Lock()
     qiter = iter(queries)
@@ -389,11 +307,9 @@ def main_single(build_only: bool = False) -> dict:
     warm_workers()
     clock = _StageClock()
     stages = run_headline(clock)
-    serving = {}
     serving_sharded = {}
     if not build_only:
         run_aux(clock)
-        serving = run_serving(f"/dev/shm/oel_bench_index/cpus{NUM_CPUS}")
         serving_sharded = run_serving_sharded()
     ray.shutdown()
     total = sum(clock.wall.values())
@@ -409,40 +325,14 @@ def main_single(build_only: bool = False) -> dict:
         "files_per_sec": stages["files_per_sec"],
         "n_docs": stages["n_docs"],
         "build_phases": stages.get("build_phases", {}),
-        # concurrent-clients serving benchmark (QPS + latency
-        # percentiles; NOT added to "value" — serving throughput is a
-        # rate, not a pipeline stage wall)
-        "serving": serving,
-        # index-bigger-than-one-node path: doc-sharded scatter-gather
-        # tier behind coordinating-node actors (pipelines/serving.py)
+        # concurrent-clients serving benchmark over the doc-sharded
+        # scatter-gather tier behind coordinating-node actors
+        # (pipelines/serving.py): QPS + latency percentiles, NOT added
+        # to "value" — serving throughput is a rate, not a stage wall
         "serving_sharded": serving_sharded,
         "sf": SF,
         "num_cpus": NUM_CPUS,
     }
-
-
-def main_serving_only() -> dict:
-    """Serving-tier benchmark alone (one fresh build, then the
-    concurrent-clients stage).  Lets BASELINE.md record QPS + latency
-    percentiles at two parallelism levels (RAY_GRAFT_CPUS=8 and 32)
-    without paying the full aux-pipeline sweep twice."""
-    import ray
-    from ray.data import DataContext
-    ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-             logging_level="ERROR")
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
-    ctx.op_resource_reservation_enabled = False
-    ctx.read_op_min_num_blocks = max(32, 2 * NUM_CPUS)
-    ensure_corpus()
-    warm_workers()
-    index_dir = f"/dev/shm/oel_bench_index/cpus{NUM_CPUS}"
-    run_build(index_dir)
-    serving = run_serving(index_dir)
-    ray.shutdown()
-    return {"metric": "serving_qps", "value": serving["qps"],
-            "unit": "queries/sec", "serving": serving,
-            "n_docs": N_DOCS, "sf": SF, "num_cpus": NUM_CPUS}
 
 
 def run_scaling() -> dict:
@@ -543,8 +433,6 @@ def run_scaling() -> dict:
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
-    elif "--serving-only" in sys.argv:
-        print(json.dumps(main_serving_only()))
     elif "--build-only" in sys.argv:
         print(json.dumps(main_single(build_only=True)))
     else:

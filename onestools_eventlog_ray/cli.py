@@ -79,13 +79,13 @@ def main(argv: list[str] | None = None) -> int:
     sb.add_argument("--spec", choices=sorted(SPECS), default="code")
 
     ss = sub.add_parser("shard-search",
-                        help="two-phase exact BM25 over a doc-sharded "
+                        help="exact BM25 over a doc-sharded "
                              "deployment (scatter-gather tier)")
     ss.add_argument("--index-root", required=True)
     ss.add_argument("--terms", required=True, help="space-separated terms")
     ss.add_argument("-k", type=int, default=10)
     ss.add_argument("--replicas", type=int, default=1,
-                    help="ShardWorker replicas per shard (failover)")
+                    help="shard actor replicas per shard (failover)")
     ss.add_argument("--worker-cpus", type=float, default=1.0,
                     help="CPU reservation per shard worker (fractional "
                          "when shards x replicas oversubscribe one box)")

@@ -1012,11 +1012,17 @@ def run_esql(query: str, tables: dict, search_engine=None,
         i += 1
         tbl = _run_stats(ds, aggs, keys)
         tbl = _finish_on_table(tbl, cmds[i:])
+        if not any(c[0] == "limit" for c in cmds[i:]):
+            tbl = tbl.slice(0, DEFAULT_IMPLICIT_LIMIT)
         return tbl
-    # raw-row path: distributed exact top-n
+    # raw-row path: distributed exact top-n.  A WHERE between SORT and
+    # its LIMIT (or the implicit one) changes which rows the cut keeps,
+    # so it and the commands before it run BEFORE the cut; they commute
+    # with the sort as long as they keep its keys intact.  Row-wise
+    # commands after the last such WHERE commute with the cut itself.
     sort_specs = None
     limit = None
-    post = []
+    pre, post = [], []
     for c in cmds[i:]:
         if c[0] == "sort" and sort_specs is None and limit is None:
             sort_specs = c[1]
@@ -1024,6 +1030,13 @@ def run_esql(query: str, tables: dict, search_engine=None,
             limit = c[1]
         else:
             post.append(c)
+            if c[0] == "where" and sort_specs is not None and limit is None:
+                pre, post = pre + post, []
+    if pre:
+        for c in pre:
+            _check_keeps_sort_keys(c, [col for col, _ in sort_specs])
+        ds = ds.map_batches(lambda b: apply_rowops(b, pre),
+                            batch_format="pyarrow")
     n = limit if limit is not None else DEFAULT_IMPLICIT_LIMIT
     if sort_specs:
         arrow_specs = [(c, "ascending" if asc else "descending")
@@ -1041,6 +1054,29 @@ def run_esql(query: str, tables: dict, search_engine=None,
         tbl = _restore_schema_if_empty(tbl, ds)
         tbl = tbl.slice(0, n)
     return _finish_on_table(tbl, post)
+
+
+def _check_keeps_sort_keys(cmd: tuple, keys: list[str]) -> None:
+    """``cmd`` sits between SORT and a WHERE before the LIMIT, so it
+    runs before the top-n cut, ahead of the sort; one that drops or
+    rewrites a sort key cannot, so it is rejected."""
+    kind = cmd[0]
+    if kind == "where":
+        return
+    if kind == "eval":
+        hit = [n for n, _ in cmd[1] if n in keys]
+    elif kind == "keep":
+        hit = [k for k in keys if k not in cmd[1]]
+    elif kind == "drop":
+        hit = [k for k in keys if k in cmd[1]]
+    elif kind == "rename":
+        hit = [k for old, new in cmd[1] for k in (old, new) if k in keys]
+    else:
+        raise EsqlError(f"{kind.upper()} between SORT and WHERE is not "
+                        "supported")
+    if hit:
+        raise EsqlError(f"{kind.upper()} between SORT and WHERE drops or "
+                        f"rewrites sort key(s) {hit}")
 
 
 def _restore_schema_if_empty(tbl: pa.Table, ds) -> pa.Table:

@@ -18,6 +18,12 @@ the merged engine is therefore rank-identical to a single full build
 (tests/test_incremental.py proves it against the brute-force oracle).
 The generational engine scores with the same TAAT kernel as a single
 index, feeding it every generation's postings under the global stats.
+
+``GenerationalSearchEngine.score`` is the one scorer for any set of
+generations under caller-supplied stats: ``search`` calls it with the
+engine's own stats, and the doc-sharded tier (``pipelines/serving.py``)
+runs one engine per shard as its shard actor and calls it with the
+tier's global stats.
 """
 
 from __future__ import annotations
@@ -279,17 +285,24 @@ def compact_generations(index_root: str, out_dir: str,
 
 
 class GenerationalSearchEngine:
-    """Exact BM25 over all generations combined (global N/avgdl/df)."""
+    """Exact BM25 over generations combined (global N/avgdl/df).
 
-    def __init__(self, index_root: str):
+    ``gen_dirs`` picks a subset of the root's generations (default: all
+    of them).  The root's tombstones apply to every picked generation,
+    unioned with each generation's own."""
+
+    def __init__(self, index_root: str, gen_dirs: list[str] | None = None):
         from onestools_eventlog_ray.state.tombstones import load_tombstones
         self.gen_dirs = list_generations(index_root)
+        if gen_dirs is not None:
+            unknown = set(gen_dirs) - set(self.gen_dirs)
+            if unknown:
+                raise ValueError(f"not generations of {index_root}: "
+                                 f"{sorted(unknown)}")
+            self.gen_dirs = [d for d in self.gen_dirs if d in gen_dirs]
         if not self.gen_dirs:
             raise FileNotFoundError(f"no generations under {index_root}")
         self.engines = [SearchEngine(d) for d in self.gen_dirs]
-        # root-level tombstones apply across ALL generations (a delete of
-        # a doc indexed in any generation), unioned with each generation's
-        # own tombstones (already loaded by its SearchEngine)
         root_del = load_tombstones(index_root)
         per_gen = [e.deleted for e in self.engines if e.deleted.size]
         self.deleted = np.unique(np.concatenate([root_del] + per_gen)) \
@@ -298,8 +311,8 @@ class GenerationalSearchEngine:
         self.docs = np.unique(np.concatenate([e.docs for e in self.engines]))
         self.live = ~doc_mask(self.docs, self.deleted)
         self.N = sum(e.N for e in self.engines)
-        total_tokens = sum(e.avgdl * e.N for e in self.engines)
-        self.avgdl = total_tokens / self.N if self.N else 0.0
+        self.total_tokens = sum(e.avgdl * e.N for e in self.engines)
+        self.avgdl = self.total_tokens / self.N if self.N else 0.0
         e0 = self.engines[0]
         self.k1, self.b = e0.k1, e0.b
 
@@ -311,26 +324,67 @@ class GenerationalSearchEngine:
                 total += hit[0]
         return total
 
-    def search(self, terms: list[str], k: int = 10,
-               tie: str = "float") -> list[tuple[int, float]]:
-        """TAAT over all generations; identical semantics (and identical
-        float64 accumulation order: sorted terms major, generations minor)
-        to a single-index build over the union of the documents."""
-        uniq = sorted(set(terms))
-        per_gen = [e.load_terms(uniq) for e in self.engines]
+    def stats(self) -> tuple[int, float, dict[str, int]]:
+        """(N, total tokens, {term: df}) over the picked generations.
+        Reads only the shards' ``term`` and ``df`` columns, through the
+        open shard handles that scoring reads postings from, so the df
+        table and the postings come from one file snapshot.  A missing
+        partition file is skipped, as ``load_terms`` skips it."""
+        df: dict[str, int] = {}
+        for e in self.engines:
+            for pkey in range(e.P):
+                tbl = e._shards.read(pkey, None, ["term", "df"])
+                if tbl is None:
+                    continue
+                for t, n in zip(tbl["term"].to_pylist(),
+                                tbl["df"].to_pylist()):
+                    df[t] = df.get(t, 0) + n
+        return self.N, self.total_tokens, df
+
+    def score(self, uniq: list[str], idf_map: dict, avgdl: float, k: int,
+              tie: str) -> tuple[np.ndarray, np.ndarray]:
+        """Local top-k under the caller's stats: ``uniq`` is the sorted
+        unique query terms, ``idf_map`` their idf (a term without one is
+        skipped), ``avgdl`` the collection's.  -> (doc_ids, scores),
+        cut under the same total order that merges several engines'
+        top-k, so the union of disjoint engines' cuts holds the global
+        top-k."""
+        return self._score([e.load_terms(uniq) for e in self.engines],
+                           uniq, idf_map, avgdl, k, tie)
+
+    def _score(self, per_gen: list[dict], uniq: list[str], idf_map: dict,
+               avgdl: float, k: int, tie: str):
+        # float64 accumulation order is terms major, generations minor:
+        # a single index's order over the union of the documents
         parts = []
         for t in uniq:
-            hits = [loaded[t] for loaded in per_gen if t in loaded]
-            if not hits:
+            if t not in idf_map:
                 continue
-            idf_t = idf_fn(self.N, sum(df for df, _ in hits))
-            for _df, blob in hits:
-                ids, w = term_weights(blob, idf_t, self.avgdl, self.k1, self.b)
-                parts.append((np.searchsorted(self.docs, ids), w))
+            for loaded in per_gen:
+                if t in loaded:
+                    ids, w = term_weights(loaded[t][1], idf_map[t], avgdl,
+                                          self.k1, self.b)
+                    parts.append((np.searchsorted(self.docs, ids), w))
         ords, scores = accumulate(parts, self.live)
         uids = self.docs[ords]
         idx = pick_topk(tie)(scores, uids, k)
-        return [(int(uids[i]), float(scores[i])) for i in idx]
+        return uids[idx], scores[idx]
+
+    def search(self, terms: list[str], k: int = 10,
+               tie: str = "float") -> list[tuple[int, float]]:
+        """Top-k under this engine's own global stats; identical
+        semantics to a single-index build over the union of the
+        documents."""
+        uniq = sorted(set(terms))
+        per_gen = [e.load_terms(uniq) for e in self.engines]
+        idf_map = {}
+        for t in uniq:
+            df = sum(loaded[t][0] for loaded in per_gen if t in loaded)
+            if df:
+                idf_map[t] = idf_fn(self.N, df)
+        uids, scores = self._score(per_gen, uniq, idf_map, self.avgdl, k,
+                                   tie)
+        return list(zip(uids.tolist(), scores.tolist()))
 
 
 def reindex(src_index: str, out_dir: str, where: dict | None = None,

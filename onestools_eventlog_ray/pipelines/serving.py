@@ -1,15 +1,12 @@
 """Doc-sharded scatter-gather serving — an index larger than one node.
 
-The bench's replicated-searcher pool (one full-index engine per actor)
-is the right shape while the index fits a node; at 100 TB it does not.
 The ES deployment the reference delegates to
 (``/root/reference/OneSTools.EventLog.Exporter.Core/ElasticSearch/
-ElasticSearchStorage.cs``) solves this with DOC-sharded data nodes and
-a two-phase query (``dfs_query_then_fetch``): gather per-shard term
-statistics, compute GLOBAL idf, score every shard locally under the
-global stats, merge per-shard top-k.  Shards hold disjoint documents,
-so a document's full score is computed entirely on its own shard and
-the union of per-shard top-k provably contains the global top-k — the
+ElasticSearchStorage.cs``) serves an index bigger than a node with
+DOC-sharded data nodes: score every shard locally under GLOBAL term
+statistics, merge per-shard top-k.  Shards hold disjoint documents, so
+a document's full score is computed entirely on its own shard and the
+union of per-shard top-k provably contains the global top-k — the
 merge is EXACT, not approximate.
 
 This module provides that deployment shape on Ray:
@@ -21,20 +18,27 @@ This module provides that deployment shape on Ray:
   contract without the tokenize).
 * :func:`build_sharded_index` — one independent index build per
   sub-corpus under ``root/gen-%04d``: deliberately the generational
-  layout, so the single-process :class:`~.incremental.GenerationalEngine`
-  over the SAME deployment is the in-process oracle for the tier.
-* :class:`ShardedSearchTier` — one ``@ray.remote`` worker per shard
-  (its own :class:`~.query.SearchEngine`), two-phase exact BM25.
-  Float exactness: scoring is terms-major within the owning shard, the
-  same accumulation order as ``SearchEngine.search`` /
-  ``GenerationalEngine.search``, so per-doc float64 scores are
-  bit-identical to a single-index build over the union of the docs.
+  layout, so the single-process
+  :class:`~.incremental.GenerationalSearchEngine` over the SAME
+  deployment is the in-process oracle for the tier.
+* :class:`ShardedSearchTier` — one ``@ray.remote``
+  :class:`~.incremental.GenerationalSearchEngine` per shard, over that
+  shard's one generation.  The tier reads every shard's df table once
+  at open, so a query is ONE scatter of ``score`` under global stats
+  (ES ``query_then_fetch`` with cached term statistics; no
+  ``dfs_query_then_fetch`` round trip).  Float exactness: scoring is
+  terms-major within the owning shard, the same accumulation order as
+  ``SearchEngine.search`` / ``GenerationalSearchEngine.search``, so
+  per-doc float64 scores are bit-identical to a single-index build over
+  the union of the docs.
 
-Scale shape: phase 1 ships O(len(terms)) ints per shard; phase 2 ships
-O(k) (id, score) pairs per shard; the driver merges O(shards * k) rows.
+Scale shape: a query ships O(len(terms)) down and O(k) (id, score)
+pairs up per live shard; the router merges O(shards * k) rows.
 Nothing corpus-sized moves at query time, and each worker's resident
 set is one shard — the deployment grows by adding shards, not by
-growing a node.
+growing a node.  The price of the single scatter is router memory:
+the router holds each shard's {term: df} table, O(distinct terms) per
+shard, read at open (no posting bytes).
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ import ray
 import ray.data
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions.bm25 import (accumulate, idf as idf_fn,
-                                                   pick_topk, term_weights)
+from onestools_eventlog_ray.functions.bm25 import idf as idf_fn, pick_topk
+from onestools_eventlog_ray.pipelines.incremental import (
+    GenerationalSearchEngine, list_generations)
 from onestools_eventlog_ray.sources.corpus import (CODE_CORPUS_SPEC,
                                                    CorpusSpec,
                                                    read_parquet_clean)
@@ -121,8 +126,8 @@ def build_sharded_index(corpus_paths, index_root: str, n_shards: int,
                         cfg: EngineConfig = EngineConfig()) -> dict:
     """Build a doc-sharded deployment: route the corpus, then run one
     independent index build per sub-corpus under ``index_root/gen-%04d``
-    (the generational layout, so ``GenerationalEngine(index_root)`` is
-    the in-process oracle for :class:`ShardedSearchTier` and the whole
+    (the generational layout, so ``GenerationalSearchEngine(index_root)``
+    is the in-process oracle for :class:`ShardedSearchTier` and the whole
     add/delete/compact lifecycle applies per shard unchanged).  Each
     build is itself resumable; re-running skips finished shards.
     -> {"n_shards", "n_docs", "shard_dirs"}."""
@@ -140,72 +145,38 @@ def build_sharded_index(corpus_paths, index_root: str, n_shards: int,
             "shard_dirs": shard_dirs}
 
 
-@ray.remote(num_cpus=1)
-class ShardWorker:
-    """One data node: a :class:`SearchEngine` over one doc-shard.
-
-    ``extra_deleted``: deployment-level tombstones (the index root's),
-    unioned with the shard's own — the same rule GenerationalEngine
-    applies in-process.  Widening ``eng.deleted`` rebuilds the engine's
-    ``live`` mask."""
-
-    def __init__(self, gen_dir: str, extra_deleted=None):
-        from onestools_eventlog_ray.pipelines.query import SearchEngine
-        self.eng = SearchEngine(gen_dir)
-        if extra_deleted is not None and len(extra_deleted):
-            self.eng.deleted = np.unique(np.concatenate(
-                [self.eng.deleted, np.asarray(extra_deleted, np.int64)]))
-
-    def stats(self) -> tuple[int, float]:
-        return int(self.eng.N), float(self.eng.avgdl * self.eng.N)
-
-    def local_df(self, terms: list) -> dict:
-        """Phase 1 (the DFS of dfs_query_then_fetch): per-term local df."""
-        return {t: int(df)
-                for t, (df, _) in self.eng.load_terms(terms).items()}
-
-    def score_topk(self, terms: list, idf_map: dict, avgdl: float,
-                   k: int, tie: str) -> tuple[np.ndarray, np.ndarray]:
-        """Phase 2: exhaustive TAAT over this shard's postings under the
-        injected GLOBAL (idf, avgdl), through the same accumulate kernel
-        as the monolithic engine; local top-k cut under the same total
-        order the merge uses, so the union of shard top-k contains the
-        global top-k."""
-        eng = self.eng
-        uniq = sorted(set(terms))
-        loaded = eng.load_terms(uniq)
-        parts = []
-        for t in uniq:
-            if t in loaded and t in idf_map:
-                ids, w = term_weights(loaded[t][1], idf_map[t], avgdl,
-                                      eng.k1, eng.b)
-                parts.append((np.searchsorted(eng.docs, ids), w))
-        ords, scores = accumulate(parts, eng.live)
-        uids = eng.docs[ords]
-        idx = pick_topk(tie)(scores, uids, k)
-        return (uids[idx].astype(np.int64), scores[idx])
+_ShardEngine = ray.remote(num_cpus=1)(GenerationalSearchEngine)
 
 
 class ShardedSearchTier:
     """Scatter-gather search over a doc-sharded deployment.
 
-    Query cost at the driver: O(terms) down + O(shards * k) up — never
+    Query cost at the router: O(terms) down + O(shards * k) up — never
     O(matches).  Exact BM25 (scores AND ranks) vs a single index over
-    the union of the shards; asserted against GenerationalEngine and a
-    monolithic build in tests.
+    the union of the shards; asserted against GenerationalSearchEngine
+    and a monolithic build in tests.
+
+    Each shard actor is a :class:`GenerationalSearchEngine` over that
+    shard's generation alone (the root's tombstones included).  At open
+    the tier gathers every shard's ``stats()`` once: N and total tokens
+    give the global avgdl, each shard's {term: df} prunes shards that
+    hold no query term, and their sum gives the global df behind idf.
+    The table is fixed for the tier's lifetime: shard engines read the
+    files they opened at tier start, so rebuild the tier after index
+    updates.
 
     ``replicas``: ES-style shard replicas — each shard gets that many
-    interchangeable :class:`ShardWorker` actors (same immutable shard
-    files, so any replica answers exactly).  Queries pick a replica
-    round-robin; a dead replica fails over to the next one, and a shard
-    whose replicas ALL died is respawned from the index files — the
-    serving analog of the reference sink's infinite retry with node
-    rotation (``ElasticSearchStorage.cs:95-149``) and of ES reallocating
-    a lost shard from disk.  Failover is exact, not degraded: shards are
+    interchangeable shard actors (same immutable shard files, so any
+    replica answers exactly).  Queries pick a replica round-robin; a
+    dead replica fails over to the next one, and a shard whose replicas
+    ALL died is respawned from the index files — the serving analog of
+    the reference sink's infinite retry with node rotation
+    (``ElasticSearchStorage.cs:95-149``) and of ES reallocating a lost
+    shard from disk.  Failover is exact, not degraded: shards are
     disjoint, so the retried call returns the same rows any replica
     would.
 
-    ``worker_cpus``: CPU reservation per shard worker (1.0 on a real
+    ``worker_cpus``: CPU reservation per shard actor (1.0 on a real
     cluster — one data node core per shard; fractional when shards ×
     replicas oversubscribe a small machine, e.g. tests — serving
     workers are idle between queries, so actor creation must not
@@ -213,41 +184,33 @@ class ShardedSearchTier:
 
     def __init__(self, index_root: str, replicas: int = 1,
                  worker_cpus: float = 1.0):
-        from onestools_eventlog_ray.pipelines.incremental import \
-            list_generations
-        from onestools_eventlog_ray.state.tombstones import load_tombstones
+        self.index_root = index_root
         self.gen_dirs = list_generations(index_root)
         if not self.gen_dirs:
             raise FileNotFoundError(f"no shards under {index_root}")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
-        self._root_del = load_tombstones(index_root)
         self._worker_cpus = worker_cpus
         self.replica_groups = [
             [self._spawn(d) for _ in range(replicas)]
             for d in self.gen_dirs]
-        # kept for introspection/back-compat: the current primary per shard
-        self.workers = [g[0] for g in self.replica_groups]
         self._rr = 0
         st = self._scatter(range(len(self.gen_dirs)), "stats",
                            lambda si: ())
-        self.N = sum(n for n, _ in st)
-        total_tokens = sum(tt for _, tt in st)
+        self.N = sum(n for n, _, _ in st)
+        total_tokens = sum(tt for _, tt, _ in st)
         self.avgdl = total_tokens / self.N if self.N else 0.0
-        # per-shard-df cache: df changes only when the index changes,
-        # and the tier is snapshot-consistent by construction (workers
-        # hold engines loaded at tier start — rebuild the tier after
-        # index updates), so repeated queries on seen terms skip
-        # phase 1 entirely (ES caches field statistics the same way).
-        # Keeping PER-SHARD dfs (not just the sum) also prunes phase 2:
-        # a shard with df=0 for every query term cannot contribute.
-        self._df_cache: dict[str, np.ndarray] = {}
+        self.shard_df = [d for _, _, d in st]
+        self.df: dict[str, int] = {}
+        for d in self.shard_df:
+            for t, n in d.items():
+                self.df[t] = self.df.get(t, 0) + n
 
     # ---- replica pick / failover -------------------------------------
 
     def _spawn(self, gen_dir: str):
-        return ShardWorker.options(num_cpus=self._worker_cpus).remote(
-            gen_dir, self._root_del)
+        return _ShardEngine.options(num_cpus=self._worker_cpus).remote(
+            self.index_root, [gen_dir])
 
     def _pick(self, si: int):
         """Round-robin replica choice for shard ``si`` (one shared
@@ -271,7 +234,6 @@ class ShardedSearchTier:
                 last = e
         fresh = self._spawn(self.gen_dirs[si])
         self.replica_groups[si] = [fresh]
-        self.workers[si] = fresh
         try:
             return ray.get(getattr(fresh, method).remote(*args))
         except ray.exceptions.RayActorError:
@@ -299,24 +261,16 @@ class ShardedSearchTier:
     def search(self, terms: list[str], k: int = 10,
                tie: str = "float") -> list[tuple[int, float]]:
         uniq = sorted(set(terms))
-        missing = [t for t in uniq if t not in self._df_cache]
-        if missing:
-            dfs = self._scatter(range(len(self.gen_dirs)), "local_df",
-                                lambda si: (missing,))
-            for t in missing:
-                self._df_cache[t] = np.array(
-                    [d.get(t, 0) for d in dfs], dtype=np.int64)
-        idf_map = {t: float(idf_fn(self.N, int(self._df_cache[t].sum())))
-                   for t in uniq if self._df_cache[t].sum()}
-        if not idf_map:
+        idf_map = {t: float(idf_fn(self.N, self.df[t]))
+                   for t in uniq if t in self.df}
+        # shard pruning: a shard scores only the query terms it holds
+        shard_terms = [[t for t in idf_map if t in d] for d in self.shard_df]
+        live = [si for si, ts in enumerate(shard_terms) if ts]
+        if not live:
             return []
-        # shard pruning: only shards holding at least one query term
-        live = np.zeros(len(self.gen_dirs), dtype=bool)
-        for t in idf_map:
-            live |= self._df_cache[t] > 0
         parts = self._scatter(
-            np.flatnonzero(live).tolist(), "score_topk",
-            lambda si: (uniq, idf_map, self.avgdl, k, tie))
+            live, "score",
+            lambda si: (shard_terms[si], idf_map, self.avgdl, k, tie))
         ids = np.concatenate([p[0] for p in parts])
         scores = np.concatenate([p[1] for p in parts])
         idx = pick_topk(tie)(scores, ids, k)
@@ -327,15 +281,14 @@ class ShardedSearchTier:
             for w in grp:
                 ray.kill(w)
         self.replica_groups = []
-        self.workers = []
 
 
 @ray.remote(num_cpus=1, max_concurrency=16)
 class TierRouter:
     """Coordinating node (the ES role of the same name): owns one
     :class:`ShardedSearchTier` and serves whole queries as a SINGLE
-    remote call, so the two-phase scatter-gather fan-out runs inside
-    this actor's process, not on the client's.
+    remote call, so the scatter-gather fan-out runs inside this actor's
+    process, not on the client's.
 
     Measured motivation: with the driver doing the fan-out, 4 tier
     replicas at 32 clients served no more QPS than 1 tier at 8 clients
@@ -350,9 +303,6 @@ class TierRouter:
                  worker_cpus: float = 1.0):
         self.tier = ShardedSearchTier(index_root, replicas=replicas,
                                       worker_cpus=worker_cpus)
-
-    def warm(self, terms: list) -> int:
-        return len(self.tier.search(sorted(set(terms)), 10, tie="e6"))
 
     def search(self, terms: list, k: int = 10,
                tie: str = "float") -> list:

@@ -113,15 +113,17 @@ class TermShards:
             f = self._open[pkey] = (pf, lo, hi, every)
         return f
 
-    def read(self, pkey: int, terms: list[str],
+    def read(self, pkey: int, terms: list[str] | None,
              columns: list[str] | None = None) -> pa.Table | None:
-        """The rows of file ``pkey`` whose term is in ``terms``, in file
-        order; None when the file is missing or no row group can hold
-        any of ``terms``."""
+        """The rows of file ``pkey`` whose term is in ``terms`` (every
+        row when ``terms`` is None), in file order; None when the file
+        is missing or no row group can hold any of ``terms``."""
         f = self._file(pkey)
         if f is None:
             return None
         pf, lo, hi, every = f
+        if terms is None:
+            return pf.read(columns=columns, use_threads=False)
         groups = every.copy()
         for t in terms:
             groups |= (lo <= t) & (hi >= t)

@@ -213,6 +213,67 @@ def test_implicit_limit_1000(ray_session):
     assert run_esql('FROM t | LIMIT 20', big).num_rows == 20
 
 
+def _sorted_filter_table(n=3000):
+    rng = np.random.default_rng(11)
+    return pa.table({"i": pa.array(np.arange(n), pa.int64()),
+                     "x": pa.array(rng.permutation(n), pa.int64()),
+                     "y": pa.array(np.arange(n) % 7, pa.int64())})
+
+
+def test_where_between_sort_and_limit_runs_before_the_cut(ray_session):
+    """A WHERE after SORT filters the sorted rows, not the top-n cut:
+    the result equals DuckDB's WHERE -> ORDER BY -> LIMIT, with the
+    explicit LIMIT and with the implicit one."""
+    import duckdb
+    import ray.data
+    tbl = _sorted_filter_table()
+    t = {"t": ray.data.from_arrow(tbl).repartition(7)}
+    con = duckdb.connect()
+    con.register("tbl", tbl)
+
+    def want(sql):
+        return [r[0] for r in con.execute(sql).fetchall()]
+
+    got = run_esql("FROM t | SORT x DESC | WHERE y == 0 | LIMIT 5", t)
+    assert got["i"].to_pylist() == want(
+        "SELECT i FROM tbl WHERE y = 0 ORDER BY x DESC LIMIT 5")
+    got = run_esql("FROM t | SORT x | EVAL z = y + 1 | WHERE z == 1 "
+                   "| KEEP i, z", t)
+    assert got.column_names == ["i", "z"]
+    assert got["i"].to_pylist() == want(
+        "SELECT i FROM tbl WHERE y = 0 ORDER BY x")
+    assert got.num_rows == 429
+
+
+def test_command_rewriting_sort_key_before_where_raises(ray_session):
+    import ray.data
+    t = {"t": ray.data.from_arrow(_sorted_filter_table(50))}
+    for q in ("FROM t | SORT x | EVAL x = -x | WHERE y == 0 | LIMIT 5",
+              "FROM t | SORT x | KEEP i, y | WHERE y == 0",
+              "FROM t | SORT x | RENAME x AS w | WHERE y == 0"):
+        with pytest.raises(EsqlError, match="sort key"):
+            run_esql(q, t)
+    # a row-wise command after the last WHERE still sees the sorted cut
+    got = run_esql("FROM t | SORT x | WHERE y == 0 | KEEP i | LIMIT 3", t)
+    assert got.column_names == ["i"] and got.num_rows == 3
+
+
+def test_implicit_limit_applies_to_stats(ray_session):
+    import duckdb
+    import ray.data
+    tbl = pa.table({"g": pa.array(np.arange(3000) % 1500, pa.int64())})
+    t = {"t": ray.data.from_arrow(tbl).repartition(4)}
+    got = run_esql("FROM t | STATS n = COUNT(*) BY g", t)
+    assert got.num_rows == 1000
+    assert set(got["n"].to_pylist()) == {2}
+    got = run_esql("FROM t | STATS n = COUNT(*) BY g | SORT g | LIMIT 1200",
+                   t)
+    con = duckdb.connect()
+    con.register("tbl", tbl)
+    assert got["g"].to_pylist() == [r[0] for r in con.execute(
+        "SELECT g FROM tbl GROUP BY g ORDER BY g LIMIT 1200").fetchall()]
+
+
 def test_date_trunc_day(tables):
     got = run_esql('FROM events | EVAL day = DATE_TRUNC("day", ts) '
                    '| STATS n = COUNT(*) BY day | SORT day',

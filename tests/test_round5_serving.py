@@ -126,22 +126,67 @@ def test_tier_respects_root_tombstones(ray_session, tmp_path_factory,
         tier.shutdown()
 
 
-def test_tier_df_cache_identical_results(deployment):
-    """Repeated queries must hit the tier's global-df cache (phase 1
-    skipped) and return identical rankings."""
+def test_tier_scores_in_one_scatter(deployment):
+    """Every query is ONE ``score`` scatter, never-seen terms included
+    (the df table is read at open, so there is no df round trip); a
+    query of absent terms scatters nothing; repeated queries return
+    identical rankings."""
     from onestools_eventlog_ray.pipelines.serving import ShardedSearchTier
     _mono, root = deployment
     tier = ShardedSearchTier(root)
+    calls = []
+    scatter = tier._scatter
+
+    def recording(shard_idxs, method, args_fn):
+        calls.append(method)
+        return scatter(shard_idxs, method, args_fn)
+
+    tier._scatter = recording
     try:
         first = tier.search(["def", "merge"], 10, tie="e6")
-        assert set(tier._df_cache) == {"def", "merge"}
-        again = tier.search(["def", "merge"], 10, tie="e6")
-        assert again == first
-        # a subset query reuses cached dfs without a phase-1 round
-        sub = tier.search(["def"], 10, tie="e6")
-        assert len(sub) > 0
+        assert first and calls == ["score"]
+        assert tier.search(["def", "merge"], 10, tie="e6") == first
+        assert calls == ["score"] * 2
+        assert tier.search(["license", "zzz_not_a_term"], 10, tie="e6")
+        assert calls == ["score"] * 3
+        assert tier.search(["zzz_not_a_term", "zzz_also_not"], 10) == []
+        assert calls == ["score"] * 3
     finally:
         tier.shutdown()
+
+
+def test_tier_df_table_matches_shard_postings(deployment):
+    """The df table read at open: per shard, it equals that shard
+    engine's ``load_terms`` df over every term in the shard's files;
+    summed, it equals the generational engine's df."""
+    import glob
+
+    import pyarrow.parquet as pq
+    from onestools_eventlog_ray.pipelines.incremental import \
+        GenerationalSearchEngine
+    from onestools_eventlog_ray.pipelines.query import SearchEngine
+    from onestools_eventlog_ray.pipelines.serving import ShardedSearchTier
+
+    _mono, root = deployment
+    gen = GenerationalSearchEngine(root)
+    tier = ShardedSearchTier(root)
+    try:
+        assert len(tier.shard_df) == len(gen.gen_dirs) == 4
+        all_terms = set()
+        for d, gen_dir in zip(tier.shard_df, gen.gen_dirs):
+            files = sorted(glob.glob(os.path.join(gen_dir, "shards",
+                                                  "*.parquet")))
+            terms = sorted(set(pq.read_table(files, columns=["term"])
+                               ["term"].to_pylist()))
+            assert terms
+            loaded = SearchEngine(gen_dir).load_terms(terms)
+            assert d == {t: df for t, (df, _) in loaded.items()}
+            all_terms.update(terms)
+        assert tier.df == {t: gen.df(t) for t in all_terms}
+    finally:
+        tier.shutdown()
+    with pytest.raises(ValueError):
+        GenerationalSearchEngine(root, gen_dirs=[root + "/gen-9999"])
 
 
 def test_tier_exact_at_odd_shard_count(ray_session, tmp_path_factory,
