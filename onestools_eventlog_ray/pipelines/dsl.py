@@ -16,14 +16,15 @@ Supported node grammar (one scoring pass, df-bounded throughout):
 
 Semantics map 1:1 onto the engine's primitives:
 
-* scoring terms + boosts       -> ``search_dsl`` (one TAAT pass)
+* scoring terms + boosts       -> ``search_dsl``'s match arrays (one
+  TAAT pass; no Python list of every match)
 * ``must`` text clauses        -> required containment: the posting
   doc_id intersection of the must terms gates the ranking (df-bounded
   ``np.intersect1d`` — never a corpus scan)
 * ``must_not`` text clauses    -> posting doc_id union, excluded
-* ``filter`` clauses           -> metadata predicate, applied with the
-  same descending-score verify-refill as ``search_filtered`` (nothing
-  O(corpus) materializes; chunks fetch only doc_id + predicate columns)
+* ``filter`` clauses           -> metadata predicate, applied by
+  ``search_filtered``'s descending-score verify refill (bounded
+  top-chunks; each fetches only doc_id + predicate columns)
 * ``pinned``                   -> promoted ids first (organic scores
   via ``score_docs``), organic fill excludes them
 
@@ -35,13 +36,14 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 from onestools_eventlog_ray.functions import codec
 from onestools_eventlog_ray.functions.analyzer import tokenize_py
+from onestools_eventlog_ray.functions.bm25 import topk_order
 from onestools_eventlog_ray.pipelines.query import (SearchEngine,
-                                                    score_docs,
-                                                    search_dsl)
+                                                    _dsl_arrays,
+                                                    _verify_refill,
+                                                    score_docs)
 
 
 class DslError(ValueError):
@@ -148,19 +150,21 @@ def _posting_ids(eng: SearchEngine, terms: list[str]) -> list[np.ndarray]:
     return out
 
 def es_search(eng: SearchEngine, query: dict, k: int = 10) -> pa.Table:
-    """Execute one ES-DSL query -> (rank, doc_id, score_e6)."""
+    """Execute one ES-DSL query -> (rank, doc_id, score_e6).
+
+    One TAAT pass over all scoring terms (:func:`_dsl_arrays`) gives the
+    match arrays; the must / must_any / must_not / pinned gates mask
+    them, and the organic top-k is a bounded cut of what is left —
+    through the verify refill of ``search_filtered`` when the query has
+    filter clauses.  Ranking is (score desc, doc_id asc)."""
     plan = _parse(query)
     pins = plan["pinned"][:k]
     organic_k = k - len(pins)
-    # one TAAT pass over all scoring terms, full df-bounded ranking
-    msm = plan["msm"] if plan["msm"] > 0 else 1
-    ranked = search_dsl(eng, plan["terms"], k=1 << 62,
-                        boosts=plan["boosts"] or None,
-                        minimum_should_match=msm,
-                        mode=plan["mode"],
-                        tie_breaker=plan["tie_breaker"]) \
-        if plan["terms"] else []
-    ids = np.array([d for d, _ in ranked], dtype=np.int64)
+    ids, scores = _dsl_arrays(eng, plan["terms"],
+                              boosts=plan["boosts"] or None,
+                              minimum_should_match=max(plan["msm"], 1),
+                              mode=plan["mode"],
+                              tie_breaker=plan["tie_breaker"])
     keep = np.ones(ids.size, dtype=bool)
     if plan["must_terms"]:
         allowed = None
@@ -179,31 +183,12 @@ def es_search(eng: SearchEngine, query: dict, k: int = 10) -> pa.Table:
         keep &= ~np.isin(ids, exc)
     if pins:
         keep &= ~np.isin(ids, np.array(pins, dtype=np.int64))
-    ranked = [h for h, m in zip(ranked, keep) if m]
-    # filter context: descending-score verify refill, predicate columns only
-    where = plan["where"]
-    hits: list[tuple[int, float]] = []
-    if where:
-        chunk, c0 = max(4 * organic_k, 64), 0
-        while c0 < len(ranked) and len(hits) < organic_k:
-            part = ranked[c0:c0 + chunk]
-            c0 += chunk
-            chunk *= 4
-            tbl = eng.fetch_docs([d for d, _ in part],
-                                 columns=["doc_id"] + list(where))
-            ok: set = set()
-            if tbl.num_rows:
-                mask = None
-                for c, v in where.items():
-                    m = (pc.and_(pc.greater_equal(tbl[c], v[0]),
-                                 pc.less_equal(tbl[c], v[1]))
-                         if isinstance(v, tuple) else pc.equal(tbl[c], v))
-                    mask = m if mask is None else pc.and_(mask, m)
-                ok = set(tbl.filter(mask)["doc_id"].to_pylist())
-            hits.extend(h for h in part if h[0] in ok)
-        hits = hits[:organic_k]
+    ids, scores = ids[keep], scores[keep]
+    if plan["where"]:
+        hits = _verify_refill(eng, ids, scores, plan["where"], organic_k)
     else:
-        hits = ranked[:organic_k]
+        idx = topk_order(scores, ids, organic_k)
+        hits = list(zip(ids[idx].tolist(), scores[idx].tolist()))
     sc = score_docs(eng, plan["terms"], pins) if pins else {}
     all_ids = pins + [d for d, _ in hits]
     scores = [sc[d] for d in pins] + [s for _, s in hits]

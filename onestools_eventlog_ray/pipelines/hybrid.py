@@ -23,9 +23,10 @@ def hybrid_rrf(eng, emb_ds, terms: list[str], query_vec_id: int,
                k: int = 10, window: int = 50, c: int = 60,
                id_col: str = "vec_id",
                vec_col: str = "embedding") -> pa.Table:
-    """Fuse the BM25 top-``window`` for ``terms`` with the cosine
-    top-``window`` neighbours of ``query_vec_id``'s embedding
-    (self excluded).  Score = ``(1e9 // (c + bm25_rank)) +
+    """Fuse the BM25 top-``window`` for ``terms`` (:func:`bm25_ranks`,
+    a bounded e6 top-k) with the cosine top-``window`` neighbours of
+    ``query_vec_id``'s embedding (:func:`knn_ranks`, self excluded)
+    through :func:`rrf_fuse`.  Score = ``(1e9 // (c + bm25_rank)) +
     (1e9 // (c + knn_rank))``; a doc absent from one list contributes 0
     from that component.  -> (rank, doc_id, rrf_e9, bm25_rank nullable,
     knn_rank nullable) top-k by (rrf_e9 desc, doc_id asc).
@@ -33,39 +34,11 @@ def hybrid_rrf(eng, emb_ds, terms: list[str], query_vec_id: int,
     Requires the corpus doc_id and embedding id to share an id space
     (true for the documents/embeddings tables; in general ES requires
     the same — one _id across retrievers)."""
-    from onestools_eventlog_ray.pipelines.similarity import knn_cosine
-
-    hits = eng.search(terms, k=1 << 62)
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-    e6 = np.floor(np.asarray([s for _, s in hits], dtype=np.float64)
-                  * 1_000_000 + 0.5).astype(np.int64)
-    order = np.lexsort((ids, -e6))[:window]
-    bm25_rank = {int(ids[i]): r for r, i in enumerate(order, 1)}
-
-    qrow = emb_ds.filter(expr=f"{id_col} == {int(query_vec_id)}") \
-        .select_columns([vec_col]).take_all()
-    qvec = np.asarray(qrow[0][vec_col], dtype=np.float64)
-    knn = knn_cosine(emb_ds, qvec, k=window, id_col=id_col,
-                     vec_col=vec_col, exclude_ids={int(query_vec_id)})
-    knn_rank = {int(v): int(r) for v, r in
-                zip(knn["vec_id"].to_pylist(), knn["rank"].to_pylist())}
-
-    fused = []
-    for d in set(bm25_rank) | set(knn_rank):
-        rb = bm25_rank.get(d)
-        rk = knn_rank.get(d)
-        s = (10 ** 9 // (c + rb) if rb else 0) \
-            + (10 ** 9 // (c + rk) if rk else 0)
-        fused.append((d, s, rb, rk))
-    fused.sort(key=lambda x: (-x[1], x[0]))
-    fused = fused[:k]
-    return pa.table({
-        "rank": pa.array(np.arange(1, len(fused) + 1), pa.int64()),
-        "doc_id": pa.array([f[0] for f in fused], pa.int64()),
-        "rrf_e9": pa.array([f[1] for f in fused], pa.int64()),
-        "bm25_rank": pa.array([f[2] for f in fused], pa.int64()),
-        "knn_rank": pa.array([f[3] for f in fused], pa.int64()),
-    })
+    return rrf_fuse({
+        "bm25": bm25_ranks(eng, terms, window),
+        "knn": knn_ranks(emb_ds, query_vec_id, window,
+                         id_col=id_col, vec_col=vec_col),
+    }, k=k, c=c)
 
 
 def bm25_ranks(eng, terms: list[str], window: int) -> dict[int, int]:
@@ -79,7 +52,9 @@ def bm25_ranks(eng, terms: list[str], window: int) -> dict[int, int]:
 def knn_ranks(emb_ds, query_vec_id: int, window: int,
               id_col: str = "vec_id",
               vec_col: str = "embedding") -> dict[int, int]:
-    """Cosine-kNN component ranking (self excluded)."""
+    """Cosine-kNN component ranking (self excluded): doc_id -> rank.
+    ``id_col`` names the embeddings' id column; ``knn_cosine`` returns
+    those ids as ``vec_id`` whatever the input column is called."""
     from onestools_eventlog_ray.pipelines.similarity import knn_cosine
     qrow = emb_ds.filter(expr=f"{id_col} == {int(query_vec_id)}") \
         .select_columns([vec_col]).take_all()
@@ -87,7 +62,7 @@ def knn_ranks(emb_ds, query_vec_id: int, window: int,
     knn = knn_cosine(emb_ds, qvec, k=window, id_col=id_col,
                      vec_col=vec_col, exclude_ids={int(query_vec_id)})
     return {int(v): int(r) for v, r in
-            zip(knn[id_col].to_pylist(), knn["rank"].to_pylist())}
+            zip(knn["vec_id"].to_pylist(), knn["rank"].to_pylist())}
 
 
 def rrf_fuse(components: dict[str, dict[int, int]], k: int = 10,

@@ -271,26 +271,6 @@ def score_phrase_queries(index_dir: str, queries, batch_size: int = 8):
                                fn_kwargs=dict(index_dir=index_dir))
 
 
-def expand_prefix(pos_dir_index: str, prefix: str,
-                  max_expansions: int = 50) -> list[str]:
-    """Dictionary terms of the POSITIONS sidecar starting with
-    ``prefix`` (sorted, capped at ``max_expansions`` — ES
-    match_phrase_prefix semantics).  Range filter pushed to the parquet
-    read; position lists pruned by the column projection."""
-    import glob
-    if not prefix:
-        return []
-    upper = prefix[:-1] + chr(ord(prefix[-1]) + 1)
-    found: set[str] = set()
-    for path in sorted(glob.glob(os.path.join(pos_dir_index, "positions",
-                                              "pos-*.parquet"))):
-        tbl = pq.read_table(path, columns=["term"],
-                            filters=[("term", ">=", prefix),
-                                     ("term", "<", upper)])
-        found.update(tbl["term"].to_pylist())
-    return sorted(found)[:max_expansions]
-
-
 def search_phrase_prefix(eng: PhraseEngine, index_dir: str,
                          phrase_terms: list[str], prefix: str,
                          max_expansions: int = 50) -> list[tuple[int, int]]:
@@ -301,10 +281,17 @@ def search_phrase_prefix(eng: PhraseEngine, index_dir: str,
     Same vectorized key-intersection as :meth:`PhraseEngine.search_phrase`
     for the fixed slots; the prefix slot contributes the UNION of its
     expansions' (doc, pos) keys (np.unique over the concatenation —
-    overlapping expansions can't double-count a position)."""
+    overlapping expansions can't double-count a position).  The
+    expansions are the sidecar's sorted terms with ``prefix``, capped at
+    ``max_expansions`` (ES match_phrase_prefix semantics), read by the
+    same range-filtered dictionary reader as the main index's
+    :func:`~onestools_eventlog_ray.pipelines.query.expand_prefix_terms`."""
+    from onestools_eventlog_ray.pipelines.query import _expand_prefix
     if not phrase_terms:
         return []
-    expansions = expand_prefix(index_dir, prefix, max_expansions)
+    expansions = _expand_prefix(
+        os.path.join(index_dir, "positions", "pos-*.parquet"), prefix,
+        max_expansions)
     if not expansions:
         return []
     loaded = eng._load_flat(list(phrase_terms) + expansions)
@@ -441,12 +428,10 @@ def proximity_rerank(eng, peng: "PhraseEngine", terms: list[str],
     min-window scan touches O(window_k · tf) positions, never the
     corpus.  -> (rank, doc_id, win_len nullable, score_e6) top-k by
     (win_len asc NULLS LAST, score_e6 desc, doc_id asc)."""
-    hits = eng.search(terms, k=1 << 62)
+    hits = eng.search(terms, window_k, tie="e6")
     ids = np.asarray([d for d, _ in hits], dtype=np.int64)
     e6 = np.floor(np.asarray([s for _, s in hits], dtype=np.float64)
                   * 1_000_000 + 0.5).astype(np.int64)
-    order = np.lexsort((ids, -e6))[:window_k]
-    ids, e6 = ids[order], e6[order]
 
     loaded = peng._load_flat(list(dict.fromkeys(terms)))
     # per candidate doc: merged (position, term_type) lists

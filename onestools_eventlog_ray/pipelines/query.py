@@ -33,7 +33,8 @@ import pyarrow.parquet as pq
 from onestools_eventlog_ray.functions import codec
 from onestools_eventlog_ray.functions.bm25 import (accumulate, doc_mask,
                                                    idf as idf_fn, pick_topk,
-                                                   term_weights)
+                                                   term_weights,
+                                                   topk_order_e6)
 from onestools_eventlog_ray.functions.hashing import term_partition_one
 from onestools_eventlog_ray.stages.postings import TermShards
 from onestools_eventlog_ray.state import checkpoint as ckpt
@@ -51,6 +52,39 @@ def _part_range(path: str) -> tuple[int, int] | None:
         return int(parts[2], 16), int(parts[3], 16)
     except ValueError:
         return None
+
+
+def _verify_refill(eng, ids: np.ndarray, scores: np.ndarray, where: dict,
+                   k: int, tie: str = "float") -> list[tuple[int, float]]:
+    """The top ``k`` of the match arrays ``(ids, scores)`` whose
+    docstore row satisfies ``where`` (scalar = equality, ``(lo, hi)``
+    tuple = inclusive range), in ``pick_topk(tie)`` order.
+
+    Candidates are verified in descending order, one chunk at a time:
+    each chunk is the ``pick_topk`` top of the candidates not yet
+    verified, its size starts at max(4k, 64) and grows 4x per round (a
+    selective predicate needs fewer rounds), and each verify is one
+    range-pruned ``fetch_docs`` of doc_id + the predicate columns."""
+    pick = pick_topk(tie)
+    out: list[tuple[int, float]] = []
+    chunk = max(4 * k, 64)
+    while ids.size and len(out) < k:
+        idx = pick(scores, ids, chunk)
+        part_ids, part_scores = ids[idx].tolist(), scores[idx].tolist()
+        rest = np.ones(ids.size, dtype=bool)
+        rest[idx] = False
+        ids, scores = ids[rest], scores[rest]
+        chunk *= 4
+        tbl = eng.fetch_docs(part_ids, columns=["doc_id"] + list(where))
+        if tbl.num_rows:
+            for c, v in where.items():
+                tbl = tbl.filter(
+                    pc.and_(pc.greater_equal(tbl[c], v[0]),
+                            pc.less_equal(tbl[c], v[1]))
+                    if isinstance(v, tuple) else pc.equal(tbl[c], v))
+        ok = set(tbl["doc_id"].to_pylist())
+        out.extend(h for h in zip(part_ids, part_scores) if h[0] in ok)
+    return out[:k]
 
 
 def load_doc_ids(files: list[str]) -> np.ndarray:
@@ -327,43 +361,13 @@ class SearchEngine:
         use GLOBAL corpus stats; the predicate only gates which docs may
         appear (exactly like an ES ``bool.filter`` clause).
 
-        Scale shape (round-2 judge item #2): score-then-verify refill.
-        The candidate set is df-bounded (docs matching the query terms —
-        TAAT computes it anyway); candidates are verified against the
-        predicate in DESCENDING SCORE order via range-pruned docstore
-        reads of only (doc_id + predicate columns), geometrically growing
-        the verify chunk, until k pass or candidates exhaust.  Nothing
-        O(corpus) is ever materialized — the previous implementation
-        pulled EVERY matching doc_id into the scorer (GBs per process at
-        10^9 docs for an unselective predicate)."""
-        ranked = self.search(terms, k=1 << 62, tie=tie)  # full df-bounded ranking
-        out: list[tuple[int, float]] = []
-        chunk = max(4 * k, 64)
-        c0 = 0
-        pred_cols = list(where)
-        while c0 < len(ranked) and len(out) < k:
-            part = ranked[c0:c0 + chunk]
-            c0 += chunk
-            chunk *= 4                  # selective predicates: fewer rounds
-            tbl = self.fetch_docs([d for d, _ in part],
-                                  columns=["doc_id"] + pred_cols)
-            if tbl.num_rows:
-                mask = None
-                for c, v in where.items():
-                    # a (lo, hi) tuple is an inclusive range predicate
-                    # (ES ``range`` filter); any scalar is equality
-                    if isinstance(v, tuple):
-                        m = pc.and_(pc.greater_equal(tbl[c], v[0]),
-                                    pc.less_equal(tbl[c], v[1]))
-                    else:
-                        m = pc.equal(tbl[c], v)
-                    mask = m if mask is None else pc.and_(mask, m)
-                ok = set(tbl.filter(mask)["doc_id"].to_pylist()) \
-                    if mask is not None else set(tbl["doc_id"].to_pylist())
-            else:
-                ok = set()
-            out.extend(h for h in part if h[0] in ok)
-        return out[:k]
+        Score-then-verify refill: the match arrays come from one TAAT
+        pass (:meth:`_taat_arrays`), and :func:`_verify_refill` checks
+        them against the predicate in descending ``tie`` order, one
+        bounded top-chunk at a time.  The candidates stay numpy arrays;
+        only a chunk's ids become Python ints or reach the docstore."""
+        ids, scores = self._taat_arrays(terms)
+        return _verify_refill(self, ids, scores, where, k, tie)
 
     def search_with_docs(self, terms: list[str], k: int = 10,
                          columns: list[str] | None = None) -> pa.Table:
@@ -448,15 +452,13 @@ class SearchEngine:
         term order) — multi-term queries never invent per-expansion
         IDF in ES either.
 
-        Expansions come from the distributed dictionary scan
-        (:func:`prefix_term_stats`, range filter pushed to parquet);
+        Expansions come from the query-time dictionary read
+        (:func:`expand_prefix_terms`, range filter pushed to parquet);
         expansion postings load via the same shard-pruned term reads
         as every query.  Either clause may be empty (prefix-only or
         no-expansion searches degrade gracefully)."""
-        exp_rows = prefix_term_stats(self.index_dir, prefix) \
-            .take_all() if prefix else []
-        expansions = sorted({str(r["term"]) for r in exp_rows}
-                            )[:max_expansions]
+        expansions = expand_prefix_terms(self.index_dir, prefix,
+                                         max_expansions)
         ids_np, base = (self._taat_arrays(terms) if terms
                         else (np.empty(0, np.int64),
                               np.empty(0, np.float64)))
@@ -992,24 +994,24 @@ def search_page(eng: SearchEngine, terms: list[str],
     with ABSOLUTE ranks (rank 11.. for page 2), deterministic across
     processes because the sort key is the e6-rounded integer score —
     two hits whose float scores differ below 1e-6 are deliberately
-    tied and broken by doc_id, exactly like the SQL oracle."""
-    hits = eng.search(terms, k=1 << 62)
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-    e6 = np.floor(np.asarray([s for _, s in hits]) * 1_000_000
-                  + 0.5).astype(np.int64)
-    order = np.lexsort((ids, -e6))
-    ids, e6 = ids[order], e6[order]
-    if after is None:
-        start = 0
-    else:
+    tied and broken by doc_id, exactly like the SQL oracle.
+
+    Reads the engine's match arrays (:meth:`SearchEngine._taat_arrays`):
+    the hits after the cursor are a suffix of the canonical order, the
+    size of its complement is the page's start rank, and the page is
+    the suffix's bounded e6 top-``k``."""
+    ids, scores = eng._taat_arrays(terms)
+    start = 0
+    if after is not None:
         a_e6, a_doc = after
-        # first position strictly after the cursor in (-e6, doc_id) order
-        after_key = np.flatnonzero((e6 < a_e6) |
-                                   ((e6 == a_e6) & (ids > a_doc)))
-        start = int(after_key[0]) if after_key.size else ids.size
-    sel = slice(start, start + k)
+        e6 = np.floor(scores * 1_000_000 + 0.5).astype(np.int64)
+        rest = (e6 < a_e6) | ((e6 == a_e6) & (ids > a_doc))
+        start = ids.size - int(rest.sum())
+        ids, scores = ids[rest], scores[rest]
+    idx = topk_order_e6(scores, ids, k)
+    e6 = np.floor(scores[idx] * 1_000_000 + 0.5).astype(np.int64)
     return [(start + i + 1, int(d), int(s))
-            for i, (d, s) in enumerate(zip(ids[sel], e6[sel]))]
+            for i, (d, s) in enumerate(zip(ids[idx], e6))]
 
 
 def highlight_snippets(eng: SearchEngine, terms: list[str],
@@ -1022,13 +1024,8 @@ def highlight_snippets(eng: SearchEngine, terms: list[str],
     The top-k cut ranks on the e6-rounded integer score (same tie rule
     as the SQL oracle) so boundary ties cannot admit different docs."""
     from onestools_eventlog_ray.functions.analyzer import tokenize_py
-    hits = eng.search(terms, k=1 << 62)
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-    e6 = np.floor(np.asarray([s for _, s in hits]) * 1_000_000
-                  + 0.5).astype(np.int64)
-    order = np.lexsort((ids, -e6))[:k]
-    ids = ids[order]
-    docs = eng.fetch_docs(ids.tolist(), columns=["doc_id", "content"])
+    ids = [d for d, _ in eng.search(terms, k, tie="e6")]
+    docs = eng.fetch_docs(ids, columns=["doc_id", "content"])
     tset = set(terms)
     snips = []
     for content in docs["content"].to_pylist():
@@ -1037,7 +1034,7 @@ def highlight_snippets(eng: SearchEngine, terms: list[str],
         snips.append("" if first is None else
                      " ".join(toks[max(0, first - window):first + window + 1]))
     return pa.table({
-        "rank": pa.array(np.arange(1, ids.size + 1), pa.int64()),
+        "rank": pa.array(np.arange(1, len(ids) + 1), pa.int64()),
         "doc_id": pa.array(docs["doc_id"], pa.int64()),
         "snippet": pa.array(snips, pa.string()),
     })
@@ -1087,46 +1084,45 @@ def search_dsl(eng: SearchEngine, terms: list[str], k: int = 10,
     * ``mode="max"`` + ``tie_breaker``: dis_max —
       ``score = max_t w_t + tie_breaker * (sum_t w_t - max_t w_t)``.
 
-    One posting read per term (shard-pruned, weight-LRU'd via the
-    engine's cache path); per-doc accumulation is np.add.at /
-    np.maximum.at in sorted-unique-term order, so float64 sums are
-    reproducible and the e6-ranked SQL oracle matches exactly."""
-    uniq = sorted(set(terms))
-    loaded = eng.load_terms(uniq)
-    ids_parts, w_parts = [], []
-    for t in uniq:
-        hit = loaded.get(t)
-        if hit is None:
-            continue
-        df, blob = hit
-        post = codec.decode_posting(blob)
-        w = idf_fn(eng.N, df) * codec.bm25_impact(
-            post.tfs, post.dls, eng.avgdl, eng.k1, eng.b)
-        if boosts is not None:
-            w = w * float(boosts.get(t, 1.0))
-        ids_parts.append(post.doc_ids)
-        w_parts.append(w)
-    if not ids_parts:
-        return []
-    all_ids = np.concatenate(ids_parts)
-    all_w = np.concatenate(w_parts)
-    uids, inverse = np.unique(all_ids, return_inverse=True)
-    sums = np.zeros(uids.size, dtype=np.float64)
-    np.add.at(sums, inverse, all_w)
-    nmatch = np.zeros(uids.size, dtype=np.int64)
-    np.add.at(nmatch, inverse, 1)
+    -> [(doc_id, score)], ``pick_topk(tie)`` order, len <= k: the
+    bounded cut of :func:`_dsl_arrays`' match arrays."""
+    ids, scores = _dsl_arrays(eng, terms, boosts, minimum_should_match,
+                              mode, tie_breaker)
+    idx = pick_topk(tie)(scores, ids, k)
+    return list(zip(ids[idx].tolist(), scores[idx].tolist()))
+
+
+def _dsl_arrays(eng: SearchEngine, terms: list[str],
+                boosts: dict[str, float] | None = None,
+                minimum_should_match: int = 1, mode: str = "sum",
+                tie_breaker: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`search_dsl`'s scoring pass -> (doc_ids ascending, scores)
+    of every live match.  Term weights come from the engine's cached
+    ``(ordinals, weights)`` parts (:meth:`SearchEngine._term_parts`),
+    scaled by the term's boost, and accumulate over dense doc ordinals
+    in sorted-unique-term order under the ``live`` mask, so float64
+    sums equal :meth:`SearchEngine.search`'s and the e6-ranked SQL
+    oracle matches exactly."""
+    loaded = eng.load_terms(sorted(set(terms)))
+    present = sorted(loaded)
+    parts = []
+    for t, (o, w) in zip(present, eng._term_parts(present)):
+        boost = float(boosts.get(t, 1.0)) if boosts else 1.0
+        parts.append((o, w * boost if boost != 1.0 else w))
+    ords, scores = accumulate(parts, eng.live)
+    if not parts:
+        return eng.docs[ords], scores
+    all_o = np.concatenate([o for o, _ in parts])
     if mode == "max":
-        maxs = np.full(uids.size, -np.inf, dtype=np.float64)
-        np.maximum.at(maxs, inverse, all_w)
-        scores = maxs + tie_breaker * (sums - maxs)
-    else:
-        scores = sums
-    keep = nmatch >= minimum_should_match
-    if eng.deleted.size:
-        keep &= ~np.isin(uids, eng.deleted)
-    uids, scores = uids[keep], scores[keep]
-    idx = pick_topk(tie)(scores, uids, k)
-    return [(int(uids[i]), float(scores[i])) for i in idx]
+        maxs = np.full(eng.docs.size, -np.inf)
+        np.maximum.at(maxs, all_o, np.concatenate([w for _, w in parts]))
+        maxs = maxs[ords]
+        scores = maxs + tie_breaker * (scores - maxs)
+    if minimum_should_match > 1:
+        nmatch = np.bincount(all_o, minlength=eng.docs.size)[ords]
+        keep = nmatch >= minimum_should_match
+        ords, scores = ords[keep], scores[keep]
+    return eng.docs[ords], scores
 
 
 def search_collapse(eng: SearchEngine, terms: list[str], group_col: str,
@@ -1137,15 +1133,13 @@ def search_collapse(eng: SearchEngine, terms: list[str], group_col: str,
     range-pruned docstore reads of (doc_id, group_col) for the matched
     docs only — the candidate set is df-bounded, never the corpus.
     -> (group, rank_in_group, doc_id, score_e6) by (group, rank)."""
-    hits = eng.search(terms, k=1 << 62)
-    if not hits:
+    ids, scores = eng._taat_arrays(terms)
+    if not ids.size:
         return pa.table({group_col: pa.array([], pa.string()),
                          "rank_in_group": pa.array([], pa.int64()),
                          "doc_id": pa.array([], pa.int64()),
                          "score_e6": pa.array([], pa.int64())})
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-    e6 = np.floor(np.asarray([s for _, s in hits]) * 1_000_000
-                  + 0.5).astype(np.int64)
+    e6 = np.floor(scores * 1_000_000 + 0.5).astype(np.int64)
     order = np.lexsort((ids, -e6))
     ids, e6 = ids[order], e6[order]
     groups = np.empty(ids.size, dtype=object)
@@ -1216,21 +1210,27 @@ def expand_prefix_terms(index_dir: str, prefix: str,
                         max_expansions: int = 50) -> list[str]:
     """Dictionary terms of the MAIN index starting with ``prefix``
     (sorted, capped at ``max_expansions``) — the multi-term rewrite used
-    by query-time prefix clauses (``simple_query_string`` ``foo*``).
+    by query-time prefix clauses (``simple_query_string`` ``foo*``,
+    :meth:`SearchEngine.search_bool_prefix`).  For a dictionary too
+    large to skim per query, :func:`prefix_term_stats` is the
+    distributed variant of the same scan."""
+    return _expand_prefix(os.path.join(index_dir, "shards", "part-*.parquet"),
+                          prefix, max_expansions)
 
-    Serving-path shape: a driver-local range-filtered read of each
-    shard's ``term`` column; the row groups' term statistics prune the
-    groups outside the range, and the column projection the posting
-    blobs.  For a dictionary too large to skim per query,
-    :func:`prefix_term_stats` is the distributed variant of the same
-    scan."""
+
+def _expand_prefix(pattern: str, prefix: str,
+                   max_expansions: int) -> list[str]:
+    """Sorted distinct ``term`` values starting with ``prefix`` over the
+    parquet files matching glob ``pattern``, capped at
+    ``max_expansions``: a driver-local range-filtered read of each
+    file's ``term`` column, where row-group term statistics prune the
+    groups outside the range and the column projection the payload."""
     import glob
     if not prefix:
         return []
     upper = prefix[:-1] + chr(ord(prefix[-1]) + 1)
     found: set[str] = set()
-    for path in sorted(glob.glob(os.path.join(index_dir, "shards",
-                                              "part-*.parquet"))):
+    for path in sorted(glob.glob(pattern)):
         tbl = pq.read_table(path, columns=["term"],
                             filters=[("term", ">=", prefix),
                                      ("term", "<", upper)])
@@ -1434,15 +1434,12 @@ def rank_correlation(eng: SearchEngine, terms: list[str],
     ``tau_e6 = (C - D) * 1e6 // npairs`` — no float anywhere.  Both
     orders are fully deterministic (BM25: score_e6 desc, doc asc;
     field: value desc, doc asc), so ties cannot exist and C + D =
-    npairs.  Cost: one search + one O(matches) stored-field fetch +
-    an O(k^2) pair fold on the TOP-K ONLY (k is small by definition).
+    npairs.  Cost: one bounded e6 top-k search + one k-row
+    stored-field fetch + an O(k^2) pair fold (k is small by
+    definition).
     -> one row (n, n_pairs, concordant, discordant, tau_e6)."""
-    hits = eng.search(terms, k=1 << 62)
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-    e6 = np.floor(np.asarray([s for _, s in hits], dtype=np.float64)
-                  * 1_000_000 + 0.5).astype(np.int64)
-    order = np.lexsort((ids, -e6))[:k]
-    top = ids[order]                       # A-order: BM25 rank
+    top = np.asarray([d for d, _ in eng.search(terms, k, tie="e6")],
+                     dtype=np.int64)       # A-order: BM25 rank
     n = int(top.size)
     if n < 2:
         return pa.table({c: pa.array([v], pa.int64())
@@ -1651,7 +1648,7 @@ def search_rescore(eng: SearchEngine, terms: list[str],
     if not initial:
         return []
     win = np.asarray(sorted(d for d, _ in initial), dtype=np.int64)
-    second = dict(eng.search(rescore_terms, k=1 << 62, allowed=win))
+    second = dict(eng.search(rescore_terms, k=win.size, allowed=win))
     combined = [(d, query_weight * s + rescore_weight * second.get(d, 0.0))
                 for d, s in initial]
     ids = np.asarray([d for d, _ in combined], dtype=np.int64)
@@ -1922,16 +1919,10 @@ def prf_search(eng: SearchEngine, terms: list[str], fb_docs: int = 10,
 
     from onestools_eventlog_ray.functions.analyzer import tokenize_py
 
-    hits = eng.search(terms, k=1 << 62)
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-    e6 = np.floor(np.asarray([s for _, s in hits], dtype=np.float64)
-                  * 1_000_000 + 0.5).astype(np.int64)
-    order = np.lexsort((ids, -e6))[:fb_docs]
-    fb = ids[order]
-
+    fb = [d for d, _ in eng.search(terms, fb_docs, tie="e6")]
     tf: Counter = Counter()
-    if fb.size:
-        docs = eng.fetch_docs(fb.tolist(), columns=["doc_id", "content"])
+    if fb:
+        docs = eng.fetch_docs(fb, columns=["doc_id", "content"])
         for c in docs["content"].to_pylist():
             tf.update(tokenize_py(c))
     for t in terms:
@@ -1941,15 +1932,13 @@ def prf_search(eng: SearchEngine, terms: list[str], fb_docs: int = 10,
               for t, (df, _) in loaded.items()]
     expansion = [t for _, t in sorted(scored)[:fb_terms]]
 
-    hits2 = eng.search(list(terms) + expansion, k=1 << 62)
-    ids2 = np.asarray([d for d, _ in hits2], dtype=np.int64)
-    e62 = np.floor(np.asarray([s for _, s in hits2], dtype=np.float64)
-                   * 1_000_000 + 0.5).astype(np.int64)
-    o2 = np.lexsort((ids2, -e62))[:k]
+    hits = eng.search(list(terms) + expansion, k, tie="e6")
     return pa.table({
-        "rank": pa.array(np.arange(1, o2.size + 1), pa.int64()),
-        "doc_id": pa.array(ids2[o2], pa.int64()),
-        "score_e6": pa.array(e62[o2], pa.int64()),
+        "rank": pa.array(np.arange(1, len(hits) + 1), pa.int64()),
+        "doc_id": pa.array([d for d, _ in hits], pa.int64()),
+        "score_e6": pa.array(np.floor(
+            np.asarray([s for _, s in hits], dtype=np.float64)
+            * 1_000_000 + 0.5).astype(np.int64), pa.int64()),
     })
 
 
@@ -2040,12 +2029,8 @@ def bm25_eval(eng: SearchEngine, terms: list[str], k: int = 10) -> pa.Table:
     if eng.deleted.size:
         rel = rel[~np.isin(rel, eng.deleted)]
 
-    hits = eng.search(terms, k=1 << 62)
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-    e6 = np.floor(np.asarray([s for _, s in hits], dtype=np.float64)
-                  * 1_000_000 + 0.5).astype(np.int64)
-    order = np.lexsort((ids, -e6))[:k]
-    top = ids[order]
+    top = np.asarray([d for d, _ in eng.search(terms, k, tie="e6")],
+                     dtype=np.int64)
     is_rel = np.isin(top, rel)
     disc = (10 ** 6 / np.log2(np.arange(1, top.size + 1) + 1))
     disc_e6 = np.floor(disc + 0.5).astype(np.int64)
@@ -2074,12 +2059,11 @@ def search_random_score(eng: SearchEngine, terms: list[str],
     ``md5_number_lower``.  Candidates come from the df-bounded postings
     union — no corpus scan.  -> (rank, doc_id, h) top-k by h desc."""
     from onestools_eventlog_ray.functions import fasthash
-    hits = eng.search(terms, k=1 << 62)
-    if not hits:
+    ids, _ = eng._taat_arrays(terms)
+    if not ids.size:
         return pa.table({"rank": pa.array([], pa.int64()),
                          "doc_id": pa.array([], pa.int64()),
                          "h": pa.array([], pa.int64())})
-    ids = np.asarray([d for d, _ in hits], dtype=np.int64)
     keyed = pc.binary_join_element_wise(
         pa.array([f"{seed}:"] * ids.size, pa.string()),
         pc.cast(pa.array(ids, pa.int64()), pa.string()), "")
@@ -2123,12 +2107,8 @@ def rank_eval(eng: SearchEngine, requests: list[tuple[str, list[str]]],
         rel = rel if rel is not None else np.empty(0, np.int64)
         if eng.deleted.size:
             rel = rel[~np.isin(rel, eng.deleted)]
-        hits = eng.search(terms, k=1 << 62)
-        ids = np.asarray([d for d, _ in hits], dtype=np.int64)
-        e6 = np.floor(np.asarray([s for _, s in hits], dtype=np.float64)
-                      * 1_000_000 + 0.5).astype(np.int64)
-        order = np.lexsort((ids, -e6))[:k]
-        top = ids[order]
+        top = np.asarray([d for d, _ in eng.search(terms, k, tie="e6")],
+                         dtype=np.int64)
         is_rel = np.isin(top, rel)
         n_hits = int(is_rel.sum())
         disc_e6 = np.floor(10 ** 6 / np.log2(np.arange(1, top.size + 1) + 1)
@@ -2200,9 +2180,8 @@ def score_histogram(eng: SearchEngine, terms: list[str],
 
     One df-bounded TAAT pass; the histogram is bin-count-sized.
     -> (bin_lo_e6, n_docs) ascending."""
-    hits = eng.search(terms, k=1 << 62)
-    e6 = np.floor(np.asarray([s for _, s in hits], dtype=np.float64)
-                  * 1_000_000 + 0.5).astype(np.int64)
+    _, scores = eng._taat_arrays(terms)
+    e6 = np.floor(scores * 1_000_000 + 0.5).astype(np.int64)
     bins = (e6 // bin_e6) * bin_e6
     uq, counts = np.unique(bins, return_counts=True)
     return pa.table({

@@ -9,8 +9,12 @@ import os
 import re
 
 import numpy as np
+import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+
+from onestools_eventlog_ray.pipelines import query as Q
+from onestools_eventlog_ray.pipelines.query import SearchEngine
 
 SF_DIR = "/root/testdata/sf0.001"
 TERMS = ["spark", "vector", "window"]
@@ -283,6 +287,24 @@ def test_search_dsl_dismax(index_dir, docs_tbl):
     assert np.allclose([s for _, s in hits], [s for _, s in want])
 
 
+@pytest.mark.parametrize("kw", [
+    dict(minimum_should_match=2),
+    dict(boosts={"spark": 2.0, "vector": 1.0, "window": 0.5}),
+    dict(mode="max", tie_breaker=0.3),
+])
+def test_search_dsl_tombstoned(index_dir, kw):
+    """Tombstoned docs leave the ranking and nothing else moves: scores
+    keep the built index's stats (ES soft-delete semantics)."""
+    from onestools_eventlog_ray.pipelines.query import SearchEngine, search_dsl
+    eng = SearchEngine(index_dir)
+    full = search_dsl(eng, TERMS, k=1 << 62, **kw)
+    dead = {d for d, _ in full[::3]}
+    eng.deleted = np.asarray(sorted(dead), dtype=np.int64)
+    want = [h for h in full if h[0] not in dead]
+    assert search_dsl(eng, TERMS, k=1 << 62, **kw) == want
+    assert search_dsl(eng, TERMS, k=5, **kw) == want[:5]
+
+
 def test_search_dsl_plain_sum_equals_search(index_dir):
     from onestools_eventlog_ray.pipelines.query import SearchEngine, search_dsl
     eng = SearchEngine(index_dir)
@@ -510,6 +532,23 @@ def test_phrase_prefix_bruteforce(index_dir, docs_tbl):
     assert got == sorted(((d, n) for d, n in want.items()),
                          key=lambda x: (-x[1], x[0]))
     assert got
+
+
+def test_phrase_prefix_expansion_reads_the_sidecar(index_dir):
+    """The positions sidecar's prefix expansion is its sorted distinct
+    terms with that prefix, capped in sorted order."""
+    import glob
+    from onestools_eventlog_ray.pipelines.query import _expand_prefix
+    pattern = os.path.join(index_dir, "positions", "pos-*.parquet")
+    files = sorted(glob.glob(pattern))
+    assert files
+    terms = sorted(set(pq.read_table(files, columns=["term"])["term"]
+                       .to_pylist()))
+    want = [t for t in terms if t.startswith("s")]
+    assert len(want) > 3
+    assert _expand_prefix(pattern, "s", 50) == want[:50]
+    assert _expand_prefix(pattern, "s", 3) == want[:3]
+    assert _expand_prefix(pattern, "zzz", 50) == []
 
 
 def test_phrase_prefix_no_expansion_is_empty(index_dir):
@@ -1286,3 +1325,115 @@ def test_profile_events_counts():
         len(set(ev["user_id"].to_pylist()))
     assert out["value"]["n_distinct"] == len(set(ev["value"].to_pylist()))
     assert all(r["n"] == ev.num_rows for r in out.values())
+
+
+# ---- bounded BM25 requests and the hybrid kNN component ---------------
+
+@pytest.fixture
+def asks(monkeypatch):
+    """Every ``k`` asked of ``SearchEngine.search`` and ``search_dsl``.
+    ``es_search`` reached ``search_dsl`` through its own module's name,
+    so that name is wrapped too."""
+    from onestools_eventlog_ray.pipelines import dsl
+    seen: list[int] = []
+    search = SearchEngine.search
+    search_dsl = Q.search_dsl
+
+    def rec_search(self, terms, k=10, *a, **kw):
+        seen.append(k)
+        return search(self, terms, k, *a, **kw)
+
+    def rec_dsl(eng, terms, k=10, **kw):
+        seen.append(k)
+        return search_dsl(eng, terms, k, **kw)
+
+    monkeypatch.setattr(SearchEngine, "search", rec_search)
+    monkeypatch.setattr(dsl, "search_dsl", rec_dsl, raising=False)
+    return seen
+
+
+def _es_filtered(eng, _idx):
+    from onestools_eventlog_ray.pipelines.dsl import es_search
+    return es_search(eng, {"bool": {
+        "should": [{"match": {"text": " ".join(TERMS)}}],
+        "filter": [{"term": {"lang": "en"}}]}}, k=10)
+
+
+def _proximity(eng, idx):
+    from onestools_eventlog_ray.config import EngineConfig
+    from onestools_eventlog_ray.pipelines.phrase import (
+        PhraseEngine, build_position_index, proximity_rerank)
+    from onestools_eventlog_ray.sources.corpus import DOCUMENTS_SPEC
+    if not os.path.isdir(os.path.join(idx, "positions")):
+        build_position_index(os.path.join(SF_DIR, "documents.parquet"),
+                             idx, spec=DOCUMENTS_SPEC,
+                             cfg=EngineConfig(num_partitions=16))
+    return proximity_rerank(eng, PhraseEngine(idx), TERMS, window_k=30,
+                            k=10)
+
+
+def _hybrid(eng, _idx):
+    import ray.data
+    from onestools_eventlog_ray.pipelines.hybrid import hybrid_rrf
+    emb = ray.data.read_parquet(os.path.join(SF_DIR, "embeddings.parquet"),
+                                columns=["vec_id", "embedding"])
+    return hybrid_rrf(eng, emb, TERMS, query_vec_id=0, k=10, window=30)
+
+
+# caller -> (call, the most hits it may ask for: its own k, window,
+# window_k or fb_docs; 0 for callers that keep every match as arrays)
+BOUNDED = {
+    "search_filtered": (lambda e, _: e.search_filtered(
+        TERMS, {"lang": "en"}, k=5, tie="e6"), 5),
+    "search_page": (lambda e, _: Q.search_page(e, TERMS, None, k=10), 10),
+    "highlight_snippets": (lambda e, _: Q.highlight_snippets(
+        e, TERMS, k=5), 5),
+    "search_collapse": (lambda e, _: Q.search_collapse(
+        e, TERMS, "lang"), 0),
+    "rank_correlation": (lambda e, _: Q.rank_correlation(
+        e, TERMS, k=20), 20),
+    "prf_search": (lambda e, _: Q.prf_search(
+        e, TERMS, fb_docs=5, k=10), 10),
+    "search_rescore": (lambda e, _: Q.search_rescore(
+        e, TERMS, ["data"], window=30, k=10), 30),
+    "bm25_eval": (lambda e, _: Q.bm25_eval(e, TERMS, k=10), 10),
+    "search_random_score": (lambda e, _: Q.search_random_score(
+        e, TERMS, k=10), 10),
+    "rank_eval": (lambda e, _: Q.rank_eval(
+        e, [("a", TERMS), ("b", TERMS[:1])], k=10), 10),
+    "score_histogram": (lambda e, _: Q.score_histogram(e, TERMS), 0),
+    "es_search_filter": (_es_filtered, 10),
+    "proximity_rerank": (_proximity, 30),
+    "hybrid_rrf": (_hybrid, 30),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(BOUNDED))
+def test_caller_asks_a_bounded_top_k(caller, index_dir, asks):
+    call, bound = BOUNDED[caller]
+    call(SearchEngine(index_dir), index_dir)
+    assert max(asks, default=0) <= bound, (caller, asks)
+
+
+def test_knn_ranks_reads_any_id_column(index_dir):
+    """``knn_cosine`` names its ids ``vec_id``; an embeddings table keyed
+    by ``doc_id`` must rank the same as the ``vec_id`` one."""
+    import ray.data
+    from onestools_eventlog_ray.pipelines.hybrid import (hybrid_rrf,
+                                                         knn_ranks)
+    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
+                        columns=["vec_id", "embedding"]).slice(0, 120)
+    by_doc = ray.data.from_arrow(pa.table({"doc_id": emb["vec_id"],
+                                           "embedding": emb["embedding"]}))
+    by_vec = ray.data.from_arrow(emb)
+    got = knn_ranks(by_doc, 0, 8, id_col="doc_id")
+    vecs = np.asarray(emb["embedding"].to_pylist(), dtype=np.float64)
+    vid = np.asarray(emb["vec_id"].to_pylist(), dtype=np.int64)
+    q = vecs[vid == 0][0]
+    cos = vecs @ q / (np.linalg.norm(vecs, axis=1) * np.linalg.norm(q))
+    keep = vid != 0
+    order = np.lexsort((vid[keep], -cos[keep]))[:8]
+    assert got == {int(vid[keep][i]): r for r, i in enumerate(order, 1)}
+    eng = SearchEngine(index_dir)
+    assert hybrid_rrf(eng, by_doc, TERMS, 0, window=20, id_col="doc_id") \
+        .equals(hybrid_rrf(eng, by_vec, TERMS, 0, window=20))
