@@ -36,10 +36,15 @@ Key properties:
   need no stats barrier, and postings stay valid when avgdl drifts
   across incremental generations.
 - Encode and decode are vectorized NumPy (no per-value Python loop).
-  ``decode_many`` decodes many postings with one varint pass per
-  section and one cumsum (blocks are self-contained, so the sections of
-  all blobs join into one buffer): the build merge's decode of a
-  partition's small fragmented terms, at one NumPy call cost for all.
+  The build moves blobs as one Arrow ``large_binary`` column, never as
+  a Python object per posting: ``encode_run_group`` encodes every run
+  of a group with one varint pass per section and lays all blobs into
+  one buffer by segmented copies; ``decode_many`` reads a binary column
+  at its offsets with segmented gathers and decodes every blob with one
+  varint pass per section and one cumsum (blocks are self-contained, so
+  the sections of all blobs join into one buffer).  A single blob, the
+  query path's cold term, decodes through ``decode_posting``'s scalar
+  path.
 """
 
 from __future__ import annotations
@@ -48,15 +53,16 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import pyarrow as pa
 
 _VERSION = 3
 _FIXED = struct.Struct("<BIQ")           # version, n_blocks, n_docs_total
+_FIXED_DT = np.dtype([("version", "u1"), ("n_blocks", "<u4"),
+                      ("n_docs", "<u8")])  # packed: the same 13 bytes
 _BLOCK_DT = np.dtype([("first_doc", "<u8"), ("last_doc", "<u8"),
                       ("n_docs", "<u4"), ("gap_end", "<u4"),
                       ("tf_end", "<u4"), ("dl_end", "<u4"),
                       ("max_tf", "<u4"), ("min_dl", "<u4")])
-# the last 20 bytes of a block header: gap_end, tf_end, dl_end (+ max_tf, min_dl)
-_SECTION_ENDS = struct.Struct("<III8x")
 
 
 # --------------------------------------------------------------------------
@@ -154,61 +160,42 @@ def bm25_impact(tf: np.ndarray, dl: np.ndarray, avgdl: float,
 
 def encode_posting(doc_ids: np.ndarray, tfs: np.ndarray, dls: np.ndarray,
                    block_size: int = 128) -> bytes:
-    """Encode one term's (sorted-by-doc_id) posting — fully vectorized:
-    three varint passes over the whole posting, no per-block loop.
-    Needs NO corpus stats (block bounds store raw (max_tf, min_dl))."""
+    """Encode one term's posting (``doc_ids`` strictly increasing): the
+    one-run case of :func:`encode_run_group`."""
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
-    n = doc_ids.size
-    if n == 0:
+    if doc_ids.size == 0:
         return _FIXED.pack(_VERSION, 0, 0)
-    if n > 1 and not (np.diff(doc_ids) > 0).all():
+    if not (np.diff(doc_ids) > 0).all():
         raise ValueError("doc_ids must be strictly increasing")
-    tfs = np.asarray(tfs, dtype=np.int64)
-    dls = np.asarray(dls, dtype=np.int64)
+    return encode_run_group(np.zeros(1, dtype=np.int64), doc_ids, tfs, dls,
+                            block_size)[0].as_py()
 
-    n_blocks = (n + block_size - 1) // block_size
-    starts = np.arange(n_blocks, dtype=np.int64) * block_size
-    ends = np.minimum(starts + block_size, n)
 
-    u_ids = doc_ids.astype(np.uint64)
-    gaps = np.empty(n, dtype=np.uint64)
-    gaps[0] = 0
-    np.subtract(u_ids[1:], u_ids[:-1], out=gaps[1:])
-    gaps[starts] = 0                      # ids are relative to block first_doc
-
-    gap_b, gap_len = varint_encode_with_lengths(gaps)
-    tf_b, tf_len = varint_encode_with_lengths(np.asarray(tfs, dtype=np.uint64))
-    dl_b, dl_len = varint_encode_with_lengths(np.asarray(dls, dtype=np.uint64))
-
-    _check_u32(len(gap_b), len(tf_b), len(dl_b))
-    headers = np.empty(n_blocks, dtype=_BLOCK_DT)
-    headers["first_doc"] = u_ids[starts]
-    headers["last_doc"] = u_ids[ends - 1]
-    headers["n_docs"] = (ends - starts).astype(np.uint32)
-    headers["gap_end"] = np.cumsum(gap_len)[ends - 1].astype(np.uint32)
-    headers["tf_end"] = np.cumsum(tf_len)[ends - 1].astype(np.uint32)
-    headers["dl_end"] = np.cumsum(dl_len)[ends - 1].astype(np.uint32)
-    headers["max_tf"] = np.maximum.reduceat(tfs, starts).astype(np.uint32)
-    headers["min_dl"] = np.minimum.reduceat(dls, starts).astype(np.uint32)
-
-    return (_FIXED.pack(_VERSION, n_blocks, n) + headers.tobytes()
-            + gap_b + tf_b + dl_b)
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Byte positions of the segments ``[starts[i], starts[i] + lengths[i])``,
+    concatenated in order: one ``np.repeat`` of (segment start - its start
+    in the concatenation) plus one ``arange``.  Indexing a buffer with it
+    is a segmented gather; assigning through it a segmented scatter."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(lengths) - lengths)
+    return np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(shift, lengths)
 
 
 def encode_run_group(run_starts: np.ndarray, doc_ids: np.ndarray,
                      tfs: np.ndarray, dls: np.ndarray,
-                     block_size: int = 128) -> list[bytes]:
-    """Encode MANY runs at once (one varint pass over the whole group).
+                     block_size: int = 128) -> pa.LargeBinaryArray:
+    """Encode MANY runs at once -> one posting blob per run, as one Arrow
+    ``large_binary`` column (no Python object per run).
 
-    ``run_starts``: start index of each run in the (run-major,
-    doc_id-ascending-within-run) arrays.  Returns one posting blob per
-    run, byte-identical to calling :func:`encode_posting` per run — the
-    per-run Python overhead (the cost driver when universal range
-    salting fragments terms into many small runs) collapses to a few
-    slices per run."""
+    ``run_starts``: start index of each (non-empty) run in the run-major,
+    doc_id-ascending-within-run arrays.  One varint pass per section
+    encodes the whole group; each run's blob size follows from its block
+    count and section byte counts, and each of the five parts of a blob
+    (fixed header, block headers, gap, tf and dl varints) is laid into
+    the output buffer by one segmented copy over all runs."""
     n = doc_ids.size
     if n == 0:
-        return []
+        return pa.array([], pa.large_binary())
     doc_ids = np.ascontiguousarray(doc_ids, dtype=np.int64)
     run_starts = np.asarray(run_starts, dtype=np.int64)
     run_ends = np.append(run_starts[1:], n)
@@ -221,24 +208,14 @@ def encode_run_group(run_starts: np.ndarray, doc_ids: np.ndarray,
     run_id[run_starts[1:]] = 1
     run_id = np.cumsum(run_id)
     offset_in_run = np.arange(n, dtype=np.int64) - run_starts[run_id]
-    block_start = (offset_in_run % block_size) == 0
-    bstarts = np.flatnonzero(block_start)
+    bstarts = np.flatnonzero((offset_in_run % block_size) == 0)
     bends = np.append(bstarts[1:], n)
+    block_run = run_id[bstarts]                 # run of each block
 
     gaps = np.empty(n, dtype=np.uint64)
     gaps[0] = 0
     np.subtract(u_ids[1:], u_ids[:-1], out=gaps[1:])
-    gaps[bstarts] = 0
-
-    gap_b, gap_len = varint_encode_with_lengths(gaps)
-    tf_b, tf_len = varint_encode_with_lengths(np.asarray(tfs, dtype=np.uint64))
-    dl_b, dl_len = varint_encode_with_lengths(np.asarray(dls, dtype=np.uint64))
-    gap_cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(gap_len, out=gap_cum[1:])
-    tf_cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(tf_len, out=tf_cum[1:])
-    dl_cum = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(dl_len, out=dl_cum[1:])
+    gaps[bstarts] = 0                           # ids relative to block first_doc
 
     headers = np.empty(bstarts.size, dtype=_BLOCK_DT)
     headers["first_doc"] = u_ids[bstarts]
@@ -246,30 +223,34 @@ def encode_run_group(run_starts: np.ndarray, doc_ids: np.ndarray,
     headers["n_docs"] = (bends - bstarts).astype(np.uint32)
     headers["max_tf"] = np.maximum.reduceat(tfs, bstarts).astype(np.uint32)
     headers["min_dl"] = np.minimum.reduceat(dls, bstarts).astype(np.uint32)
-    # global byte ends per block (made run-local below)
-    g_end = gap_cum[bends]
-    t_end = tf_cum[bends]
-    d_end = dl_cum[bends]
+    sections = []
+    for field, values in (("gap_end", gaps), ("tf_end", tfs), ("dl_end", dls)):
+        buf, lens = varint_encode_with_lengths(values.astype(np.uint64))
+        cum = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=cum[1:])
+        size = cum[run_ends] - cum[run_starts]  # the run's section bytes
+        _check_u32(int(size.max()))
+        # cumulative byte ends, local to the block's run
+        headers[field] = (cum[bends] - cum[run_starts[block_run]]).astype(np.uint32)
+        sections.append((np.frombuffer(buf, dtype=np.uint8), size))
 
-    block_run = run_id[bstarts]                 # run of each block
-    run_first_block = np.searchsorted(block_run, np.arange(run_starts.size))
-    out: list[bytes] = []
-    mv_gap, mv_tf, mv_dl = memoryview(gap_b), memoryview(tf_b), memoryview(dl_b)
-    for r in range(run_starts.size):
-        b0 = run_first_block[r]
-        b1 = run_first_block[r + 1] if r + 1 < run_starts.size else bstarts.size
-        h = headers[b0:b1].copy()
-        s, e = run_starts[r], run_ends[r]
-        _check_u32(int(gap_cum[e] - gap_cum[s]), int(tf_cum[e] - tf_cum[s]),
-                   int(dl_cum[e] - dl_cum[s]))
-        h["gap_end"] = (g_end[b0:b1] - gap_cum[s]).astype(np.uint32)
-        h["tf_end"] = (t_end[b0:b1] - tf_cum[s]).astype(np.uint32)
-        h["dl_end"] = (d_end[b0:b1] - dl_cum[s]).astype(np.uint32)
-        out.append(_FIXED.pack(_VERSION, b1 - b0, e - s) + h.tobytes()
-                   + bytes(mv_gap[gap_cum[s]:gap_cum[e]])
-                   + bytes(mv_tf[tf_cum[s]:tf_cum[e]])
-                   + bytes(mv_dl[dl_cum[s]:dl_cum[e]]))
-    return out
+    n_blocks = np.bincount(block_run, minlength=run_starts.size)
+    fixed = np.empty(run_starts.size, dtype=_FIXED_DT)
+    fixed["version"] = _VERSION
+    fixed["n_blocks"] = n_blocks
+    fixed["n_docs"] = run_ends - run_starts
+    parts = [(fixed.view(np.uint8), np.full(run_starts.size, _FIXED.size)),
+             (headers.view(np.uint8), n_blocks * _BLOCK_DT.itemsize)] + sections
+    offsets = np.zeros(run_starts.size + 1, dtype=np.int64)
+    np.cumsum(sum(size for _, size in parts), out=offsets[1:])
+    out = np.empty(int(offsets[-1]), dtype=np.uint8)
+    at = offsets[:-1].copy()                    # next free byte of each blob
+    for src, size in parts:
+        out[_segments(at, size)] = src
+        at += size
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(), run_starts.size,
+        [None, pa.py_buffer(offsets), pa.py_buffer(out)])
 
 
 def read_header(blob: bytes) -> tuple[np.ndarray, int, int]:
@@ -300,40 +281,78 @@ def _ids_from_gaps(gaps: np.ndarray, headers: np.ndarray) -> np.ndarray:
     return (csum + np.repeat(base, counts)).astype(np.int64)
 
 
-def decode_many(blobs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode many postings at once -> their (doc_ids, tfs, dls), each
-    concatenated in blob order.  Blocks are self-contained, so the block
-    headers and each varint section join into one buffer: one varint
-    pass per section and one cumsum for all blobs, whatever their number
-    (the per-call NumPy cost is paid once, not once per blob)."""
-    heads, gaps, tfs, dls = [], [], [], []
-    n_total = 0
-    for blob in blobs:
-        version, n_blocks, n_docs = _FIXED.unpack_from(blob, 0)
-        if version != _VERSION:
-            raise ValueError(f"bad posting version {version}")
-        if n_docs == 0:
-            continue
-        mv = memoryview(blob)
-        h = _FIXED.size + n_blocks * _BLOCK_DT.itemsize
-        g, t, d = _SECTION_ENDS.unpack_from(blob, h - _SECTION_ENDS.size)
-        heads.append(mv[_FIXED.size:h])
-        gaps.append(mv[h:h + g])
-        tfs.append(mv[h + g:h + g + t])
-        dls.append(mv[h + g + t:h + g + t + d])
-        n_total += n_docs
-    if n_total == 0:
-        z = np.empty(0, dtype=np.int64)
+def decode_many(blobs: pa.Array | pa.ChunkedArray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode a binary Arrow column of postings (sliced or chunked) ->
+    their (doc_ids, tfs, dls), each concatenated in blob order.
+
+    Blocks are self-contained, so every blob's block headers and each of
+    its varint sections join into one buffer: the fixed headers and last
+    section ends are read at the column's offsets, each part is one
+    segmented gather, and one varint pass per section plus one cumsum
+    decode all blobs (the per-call NumPy cost is paid once, not once per
+    blob).  Raises ``ValueError`` on a null, on a bad version byte and
+    on a blob whose length disagrees with its header (a truncated blob
+    would otherwise read its neighbour's bytes)."""
+    if isinstance(blobs, pa.ChunkedArray):
+        blobs = blobs.combine_chunks()
+    z = np.empty(0, dtype=np.int64)
+    if len(blobs) == 0:
         return z, z.copy(), z.copy()
-    headers = np.frombuffer(b"".join(heads), dtype=_BLOCK_DT)
-    return (_ids_from_gaps(varint_decode(b"".join(gaps), count=n_total), headers),
-            varint_decode(b"".join(tfs), count=n_total).astype(np.int64),
-            varint_decode(b"".join(dls), count=n_total).astype(np.int64))
+    if blobs.null_count:
+        raise ValueError("decode_many: null posting blob")
+    off_dt = np.int64 if pa.types.is_large_binary(blobs.type) else np.int32
+    _, off_buf, data_buf = blobs.buffers()
+    offs = np.frombuffer(off_buf, dtype=off_dt, count=blobs.offset + len(blobs) + 1
+                         )[blobs.offset:].astype(np.int64)
+    data = np.frombuffer(data_buf, dtype=np.uint8) if data_buf else \
+        np.empty(0, dtype=np.uint8)
+    starts, length = offs[:-1], np.diff(offs)
+    short = np.flatnonzero(length < _FIXED.size)
+    if short.size:
+        raise ValueError(f"posting blob {short[0]} is shorter than its header")
+    fixed = data[_segments(starts, np.full(starts.size, _FIXED.size))].view(_FIXED_DT)
+    bad = np.flatnonzero(fixed["version"] != _VERSION)
+    if bad.size:
+        raise ValueError(f"bad posting version {fixed['version'][bad[0]]}")
+    n_blocks = fixed["n_blocks"].astype(np.int64)
+    head = _FIXED.size + n_blocks * _BLOCK_DT.itemsize
+    ends = np.zeros((starts.size, 3), dtype=np.int64)   # gap, tf, dl bytes
+    has = np.flatnonzero((n_blocks > 0) & (length >= head))
+    if has.size:                # a blob's section sizes: its last block's ends
+        last = data[_segments(starts[has] + head[has] - _BLOCK_DT.itemsize,
+                              np.full(has.size, _BLOCK_DT.itemsize))].view(_BLOCK_DT)
+        ends[has] = np.stack([last["gap_end"], last["tf_end"], last["dl_end"]], axis=1)
+    wrong = np.flatnonzero(head + ends.sum(axis=1) != length)
+    if wrong.size:
+        i = wrong[0]
+        raise ValueError(f"posting blob {i} has {length[i]} bytes, its header "
+                         f"says {head[i] + ends[i].sum()}")
+    n_total = int(fixed["n_docs"].sum())
+    if n_total == 0:
+        return z, z.copy(), z.copy()
+    at = starts + _FIXED.size
+    headers = data[_segments(at, head - _FIXED.size)].view(_BLOCK_DT)
+    at = starts + head
+    cols = []
+    for j in range(3):
+        cols.append(varint_decode(data[_segments(at, ends[:, j])], count=n_total))
+        at = at + ends[:, j]
+    return (_ids_from_gaps(cols[0], headers), cols[1].astype(np.int64),
+            cols[2].astype(np.int64))
 
 
 def decode_posting(blob: bytes) -> Posting:
-    """Decode a full posting: three vectorized varint passes + one cumsum."""
-    return Posting(*decode_many([blob]))
+    """Decode one posting: three vectorized varint passes + one cumsum.
+    The scalar path of a cold term probe (no gather set-up)."""
+    headers, n_docs, payload_off = read_header(blob)
+    if n_docs == 0:
+        z = np.empty(0, dtype=np.int64)
+        return Posting(z, z.copy(), z.copy())
+    gap_s, tf_s, dl_s = _sections(blob, headers, payload_off)
+    return Posting(_ids_from_gaps(varint_decode(gap_s, count=n_docs), headers),
+                   varint_decode(tf_s, count=n_docs).astype(np.int64),
+                   varint_decode(dl_s, count=n_docs).astype(np.int64))
 
 
 def concat_postings(blobs: list[bytes]) -> bytes:

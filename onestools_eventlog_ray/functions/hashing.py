@@ -32,10 +32,6 @@ def sha256_hex(values: pa.Array | pa.ChunkedArray) -> pa.Array:
     return fasthash.sha256_hex_fast(values)
 
 
-def md5_hex(values: pa.Array | pa.ChunkedArray) -> pa.Array:
-    return fasthash.md5_hex_fast(values)
-
-
 _SEP = "\x00"
 
 
@@ -134,16 +130,3 @@ def rollup_acc(sha_hexes, doc_ids: np.ndarray) -> int:
     mix = np.asarray(doc_ids, dtype=np.int64).astype(np.uint64) * GOLDEN64
     return int(np.bitwise_xor.reduce(h ^ mix))
 
-
-def fingerprint_combine(hash_hexes: pa.Array | pa.ChunkedArray) -> tuple[int, int]:
-    """Order-independent lineage rollup of per-row content hashes.
-
-    -> (row_count, xor of the first 8 bytes of each sha256).  Commutative,
-    so partial rollups from parallel batches combine without ordering —
-    the analog of the reference's byte-position lineage
-    (``StreamReaderExtensions.cs:18-46``) without requiring a serial scan.
-    """
-    h = hex_prefix64(hash_hexes)
-    if h.size == 0:
-        return 0, 0
-    return int(h.size), int(np.bitwise_xor.reduce(h))

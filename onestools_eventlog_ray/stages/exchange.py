@@ -13,11 +13,15 @@ engine stays on the Dataset API):
     corpus blocks --(_map_combined: docstore part + stats partial +
                      tokenize + split by gkey)-->            G sub-tables
     gkey g        --(_encode_partition_ranged: concat + lexsort +
-                     encode runs, split runs by pkey)-->     P sub-tables
+                     encode runs into one blob column,
+                     split runs by pkey)-->                  P sub-tables
     pkey p        --(_merge_partition: one batched decode +
                      one re-encode of the small fragmented
                      terms, header splice of the large ones +
                      write shard + checkpoint record)-->     manifest row
+
+Posting blobs travel between the stages as Arrow ``large_binary``
+columns, never as one Python object per run.
 
 ONE corpus read produces the docstore, the corpus stats and the shards.
 A resume reruns the same chain with no docstore writes, rows of ``done``

@@ -21,6 +21,11 @@ df estimate:
   re-encode (``codec.encode_run_group``), and only large terms are
   header-spliced one by one (``codec.concat_postings``).
 
+Posting blobs and terms stay Arrow columns from encode to shard: the
+encoder returns one ``large_binary`` column per group, and the merge
+sorts, takes and concatenates columns, with no Python object per run or
+term except in the large-term splice.
+
 Postings are equal for every salt fan-out
 (tests/test_salt_equivalence.py).
 
@@ -154,7 +159,6 @@ def make_encode_runs(block_size: int):
             term_col = term_col.combine_chunks()
         d = term_col.dictionary_encode()
         tidx = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        terms = d.dictionary.to_pylist()
         doc_ids = group["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         tfs = group["tf"].to_numpy(zero_copy_only=False).astype(np.int64)
         dls = group["dl"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -171,15 +175,15 @@ def make_encode_runs(block_size: int):
         starts = np.flatnonzero(change)
         ends = np.append(starts[1:], tidx.size)
 
-        blobs = codec.encode_run_group(starts, doc_ids, tfs, dls, block_size)
         return pa.table({
             "pkey": pa.array(pkeys[starts].astype(np.int32), pa.int32()),
-            "term": pa.array([terms[i] for i in tidx[starts]], pa.string()),
+            "term": d.dictionary.take(pa.array(tidx[starts])),
             "salt": pa.array(salts[starts].astype(np.int32), pa.int32()),
             "df_run": pa.array((ends - starts).astype(np.int64), pa.int64()),
             "cf_run": pa.array(np.add.reduceat(tfs, starts).astype(np.int64),
                                pa.int64()),
-            "blob": pa.array(blobs, pa.large_binary()),
+            "blob": codec.encode_run_group(starts, doc_ids, tfs, dls,
+                                           block_size),
         }, schema=RUN_SCHEMA)
 
     return encode_runs
@@ -194,7 +198,7 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
     Per-term df/cf, the term classes and the re-encode are array
     operations over the partition's (term, salt)-sorted runs:
 
-    - a single-run term keeps its run's blob;
+    - a single-run term keeps its run's blob (one ``take`` for all);
     - a SMALL but fragmented term (metadata bloat from universal
       fixed-range salting: min(df, S) runs each with their own block
       headers) is re-encoded with ``reencode_block_size``; all such
@@ -202,6 +206,9 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
       ONE ``codec.encode_run_group``;
     - a large term merges by zero-copy header splice
       (``codec.concat_postings``), the only per-term Python left.
+
+    The three kinds' blob columns are concatenated and put in term
+    order by one ``take``.
 
     Salts are ascending doc_id ranges, so a term's runs in salt order are
     already id-sorted; runs that overlap raise ``ValueError``."""
@@ -216,10 +223,10 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
         if isinstance(term_col, pa.ChunkedArray):
             term_col = term_col.combine_chunks()
         d = term_col.dictionary_encode()
-        terms = np.asarray(d.dictionary.to_pylist(), dtype=object)
-        torder = np.argsort(terms)              # shard rows are term-sorted
-        rank = np.empty(terms.size, dtype=np.int64)
-        rank[torder] = np.arange(terms.size)
+        # UTF-8 byte order is code-point order: the order of sorted(str)
+        torder = pc.sort_indices(d.dictionary).to_numpy()
+        rank = np.empty(torder.size, dtype=np.int64)
+        rank[torder] = np.arange(torder.size)
         tkey = rank[d.indices.to_numpy(zero_copy_only=False)]
         salts = group["salt"].to_numpy(zero_copy_only=False)
         order = np.lexsort((salts, tkey))
@@ -227,27 +234,37 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
         runs = np.diff(np.append(starts, order.size))
         df = np.add.reduceat(group["df_run"].to_numpy(zero_copy_only=False)[order], starts)
         cf = np.add.reduceat(group["cf_run"].to_numpy(zero_copy_only=False)[order], starts)
-        blobs = np.asarray(group["blob"].to_pylist(), dtype=object)[order]
+        blobs = group["blob"].combine_chunks().take(pa.array(order))
 
-        out = blobs[starts]                     # single-run terms keep their blob
-        small = (runs > 1) & (df < 64 * reencode_block_size)
-        if small.any():
-            ids, tfs, dls = codec.decode_many(blobs[np.repeat(small, runs)])
+        # the posting column = [single-run blobs][re-encoded][spliced],
+        # put back in term order by one take
+        is_small = (runs > 1) & (df < 64 * reencode_block_size)
+        single = np.flatnonzero(runs == 1)
+        small = np.flatnonzero(is_small)
+        large = np.flatnonzero((runs > 1) & ~is_small)
+        pieces = [blobs.take(pa.array(starts[single]))]
+        if small.size:
+            ids, tfs, dls = codec.decode_many(
+                blobs.filter(pa.array(np.repeat(is_small, runs))))
             re_starts = np.cumsum(df[small]) - df[small]
             ascending = np.diff(ids) > 0
             ascending[re_starts[1:] - 1] = True  # term boundaries
             if ids.size != df[small].sum() or not ascending.all():
                 raise ValueError("merge: runs overlap, are out of order or miscount df")
-            out[small] = codec.encode_run_group(re_starts, ids, tfs, dls,
-                                                reencode_block_size)
-        for t in np.flatnonzero((runs > 1) & ~small):
-            out[t] = codec.concat_postings(blobs[starts[t]:starts[t] + runs[t]])
+            pieces.append(codec.encode_run_group(re_starts, ids, tfs, dls,
+                                                 reencode_block_size))
+        pieces.append(pa.array(
+            [codec.concat_postings(
+                blobs.slice(int(starts[t]), int(runs[t])).to_pylist())
+             for t in large], pa.large_binary()))
+        where = np.empty(starts.size, dtype=np.int64)
+        where[np.concatenate([single, small, large])] = np.arange(starts.size)
 
         shard = pa.table({
-            "term": pa.array(terms[torder], pa.string()),
+            "term": d.dictionary.take(pa.array(torder)),
             "df": pa.array(df, pa.int64()),
             "cf": pa.array(cf, pa.int64()),
-            "posting": pa.array(out, pa.large_binary()),
+            "posting": pa.concat_arrays(pieces).take(pa.array(where)),
         })
         shard_path = os.path.join(index_dir, "shards", f"part-{pkey:05d}.parquet")
         write_shard(shard, shard_path)

@@ -1,6 +1,7 @@
 """Posting codec round-trip + concat-merge properties (SURVEY.md §5.1)."""
 
 import numpy as np
+import pyarrow as pa
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,3 +98,51 @@ def test_block_max_is_upper_bound():
         w = idf * codec.bm25_impact(p.tfs, p.dls, avgdl, k1, b)
         assert (w <= bounds[bi] + 0.0).all()
         off += p.doc_ids.size
+
+
+# A 3-run group with block_size=4: a two-block run, a one-doc run with a
+# 5-byte tf, and a run with a 5-byte gap and dl.  The hex is the layout-v3
+# bytes of the per-run encoder that the Arrow column replaced.
+_GOLDEN_RUNS = (
+    np.array([0, 6, 7]),
+    np.array([0, 3, 7, 8, 20, 21, 2**40, 5, 5 + 2**33], dtype=np.int64),
+    np.array([1, 2, 1, 9, 130, 1, 2**30, 1, 300], dtype=np.int64),
+    np.array([10, 10, 11, 200, 16384, 3, 5, 2**32 - 1, 7], dtype=np.int64),
+)
+_GOLDEN_HEX = [
+    "0302000000060000000000000000000000000000000800000000000000040000000400"
+    "0000040000000500000009000000"
+    "0a000000140000000000000015000000000000000200000006000000070000000900"
+    "00008200000003000000"
+    "000304010001010201098201010a0a0bc80180800103",
+    "0301000000010000000000000000000000000100000000000000010000010000000100"
+    "00000500000001000000000000400500000000808080800405",
+    "0301000000020000000000000005000000000000000500000002000000020000000600"
+    "000003000000060000002c01000007000000"
+    "00808080802001ac02ffffffff0f07",
+]
+
+
+def test_encode_run_group_golden_bytes():
+    col = codec.encode_run_group(*_GOLDEN_RUNS, block_size=4)
+    assert col.type == pa.large_binary() and col.null_count == 0
+    assert [b.hex() for b in col.to_pylist()] == _GOLDEN_HEX
+    starts, ids, tfs, dls = _GOLDEN_RUNS
+    ends = list(starts[1:]) + [ids.size]
+    assert [codec.encode_posting(ids[a:b], tfs[a:b], dls[a:b], block_size=4).hex()
+            for a, b in zip(starts, ends)] == _GOLDEN_HEX
+
+
+@given(st.lists(st.integers(1, 300), min_size=1, max_size=12),
+       st.integers(1, 130), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_encode_run_group_equals_one_encode_per_run(sizes, block_size, seed):
+    rng = np.random.default_rng(seed)
+    ids = np.concatenate([np.cumsum(rng.integers(1, 2**34, size=n)) for n in sizes])
+    tfs = rng.integers(1, 2**31, size=ids.size)
+    dls = rng.integers(1, 2**31, size=ids.size)
+    starts = np.cumsum(sizes) - sizes
+    col = codec.encode_run_group(starts, ids, tfs, dls, block_size)
+    assert col.to_pylist() == [
+        codec.encode_posting(ids[a:a + n], tfs[a:a + n], dls[a:a + n], block_size)
+        for a, n in zip(starts, sizes)]

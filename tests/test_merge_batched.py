@@ -29,7 +29,8 @@ def _runs_table(terms: dict[str, list[list[tuple[int, int, int]]]]) -> pa.Table:
     term, salt, df, cf, blob = zip(*rows)
     return pa.table({"pkey": pa.array([3] * len(rows), pa.int32()),
                      "term": list(term), "salt": pa.array(salt, pa.int32()),
-                     "df_run": df, "cf_run": cf, "blob": list(blob)},
+                     "df_run": df, "cf_run": cf,
+                     "blob": pa.array(blob, pa.large_binary())},
                     schema=RUN_SCHEMA)
 
 
