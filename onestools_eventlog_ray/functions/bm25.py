@@ -14,11 +14,19 @@ broken ``(score desc, doc_id asc)`` — the engine scorer and this oracle
 follow the identical order, so ranks are reproducible across runs and
 parallelism levels.
 
-Every engine scorer accumulates through :func:`accumulate` over dense
-doc ordinals: a scorer loads its sorted doc_id column once at open,
-maps posting doc_ids to positions in it, and masks tombstones with a
-boolean ``live`` mask over the same column.  A query then costs one
-O(N) scratch array and no sort of its matches.
+Every engine query reads the index by one lookup rule over dense doc
+ordinals (a doc's position in the engine's sorted doc_id column):
+
+- a term's ordinals come from the engine's weight cache, which
+  :func:`term_weights` fills; scorers accumulate the cached
+  ``(ordinals, weights)`` through :func:`accumulate`, and set algebra
+  over terms is boolean or ``np.bincount`` masks over the ordinals;
+- a caller that needs tf or dl gets them from the engine's one postings
+  helper, the only other decode of a posting blob;
+- tombstones are the boolean ``live`` mask over the same ordinals, and
+  doc_ids from outside the postings pass :func:`doc_mask` and ``live``.
+
+A query then costs O(N) scratch arrays and no sort of its matches.
 """
 
 from __future__ import annotations

@@ -43,8 +43,8 @@ Key properties:
   at its offsets with segmented gathers and decodes every blob with one
   varint pass per section and one cumsum (blocks are self-contained, so
   the sections of all blobs join into one buffer).  A single blob, the
-  query path's cold term, decodes through ``decode_posting``'s scalar
-  path.
+  query path's cold term, decodes through ``decode_posting``: one
+  varint pass over its three contiguous sections.
 """
 
 from __future__ import annotations
@@ -108,12 +108,18 @@ def varint_encode_with_lengths(values: np.ndarray) -> tuple[bytes, np.ndarray]:
 def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarray:
     """Decode a varint byte run back to uint64 (vectorized via reduceat);
     raise ``ValueError`` unless it holds exactly ``count`` whole values."""
+    return _varint_decode(buf, count)[0]
+
+
+def _varint_decode(buf: bytes | np.ndarray, count: int | None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`varint_decode` -> (values, index of each value's last byte)."""
     b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
     ends = np.flatnonzero((b & 0x80) == 0)         # last byte of each value
     if count is not None and ends.size != count:
         raise ValueError(f"varint_decode: expected {count} values, got {ends.size}")
     if b.size == 0:
-        return np.empty(0, dtype=np.uint64)
+        return np.empty(0, dtype=np.uint64), ends
     if ends.size == 0 or ends[-1] != b.size - 1:
         raise ValueError("varint_decode: the run ends inside a value")
     starts = np.zeros(ends.size, dtype=np.int64)   # first byte of each value
@@ -121,7 +127,7 @@ def varint_decode(buf: bytes | np.ndarray, count: int | None = None) -> np.ndarr
     j = np.arange(b.size, dtype=np.int64)
     j -= np.repeat(starts, ends - starts + 1)      # byte position within its value
     contrib = (b & np.uint8(0x7F)).astype(np.uint64) << (np.uint64(7) * j.astype(np.uint64))
-    return np.add.reduceat(contrib, starts)
+    return np.add.reduceat(contrib, starts), ends
 
 
 # --------------------------------------------------------------------------
@@ -343,16 +349,26 @@ def decode_many(blobs: pa.Array | pa.ChunkedArray
 
 
 def decode_posting(blob: bytes) -> Posting:
-    """Decode one posting: three vectorized varint passes + one cumsum.
-    The scalar path of a cold term probe (no gather set-up)."""
+    """Decode one posting: one vectorized varint pass over its three
+    contiguous sections + one cumsum.  The scalar path of a cold term
+    probe (no gather set-up).  Each section must hold exactly its
+    ``n_docs`` values: a value that crosses a section end raises
+    ``ValueError``."""
     headers, n_docs, payload_off = read_header(blob)
     if n_docs == 0:
         z = np.empty(0, dtype=np.int64)
         return Posting(z, z.copy(), z.copy())
-    gap_s, tf_s, dl_s = _sections(blob, headers, payload_off)
-    return Posting(_ids_from_gaps(varint_decode(gap_s, count=n_docs), headers),
-                   varint_decode(tf_s, count=n_docs).astype(np.int64),
-                   varint_decode(dl_s, count=n_docs).astype(np.int64))
+    g_end = int(headers["gap_end"][-1])
+    t_end = g_end + int(headers["tf_end"][-1])
+    buf = np.frombuffer(blob, dtype=np.uint8, offset=payload_off,
+                        count=t_end + int(headers["dl_end"][-1]))
+    vals, ends = _varint_decode(buf, 3 * n_docs)
+    if ends[n_docs - 1] != g_end - 1 or ends[2 * n_docs - 1] != t_end - 1:
+        raise ValueError("decode_posting: a varint section does not hold "
+                         f"its {n_docs} values")
+    return Posting(_ids_from_gaps(vals[:n_docs], headers),
+                   vals[n_docs:2 * n_docs].astype(np.int64),
+                   vals[2 * n_docs:].astype(np.int64))
 
 
 def concat_postings(blobs: list[bytes]) -> bytes:

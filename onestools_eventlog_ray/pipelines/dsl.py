@@ -18,10 +18,9 @@ Semantics map 1:1 onto the engine's primitives:
 
 * scoring terms + boosts       -> ``search_dsl``'s match arrays (one
   TAAT pass; no Python list of every match)
-* ``must`` text clauses        -> required containment: the posting
-  doc_id intersection of the must terms gates the ranking (df-bounded
-  ``np.intersect1d`` — never a corpus scan)
-* ``must_not`` text clauses    -> posting doc_id union, excluded
+* ``must`` text clauses        -> required containment: the every-term
+  mask of the must terms' postings gates the ranking
+* ``must_not`` text clauses    -> the any-term mask, excluded
 * ``filter`` clauses           -> metadata predicate, applied by
   ``search_filtered``'s descending-score verify refill (bounded
   top-chunks; each fetches only doc_id + predicate columns)
@@ -39,7 +38,7 @@ import pyarrow as pa
 
 from onestools_eventlog_ray.functions import codec
 from onestools_eventlog_ray.functions.analyzer import tokenize_py
-from onestools_eventlog_ray.functions.bm25 import topk_order
+from onestools_eventlog_ray.functions.bm25 import doc_mask, topk_order
 from onestools_eventlog_ray.pipelines.query import (SearchEngine,
                                                     _dsl_arrays,
                                                     _verify_refill,
@@ -140,65 +139,52 @@ def _parse(node: dict) -> dict:
     raise DslError(f"unsupported query kind: {kind}")
 
 
-def _posting_ids(eng: SearchEngine, terms: list[str]) -> list[np.ndarray]:
-    loaded = eng.load_terms(sorted(set(terms)))
-    out = []
-    for t in sorted(set(terms)):
-        hit = loaded.get(t)
-        out.append(codec.decode_posting(hit[1]).doc_ids
-                   if hit is not None else np.empty(0, np.int64))
-    return out
-
 def es_search(eng: SearchEngine, query: dict, k: int = 10) -> pa.Table:
     """Execute one ES-DSL query -> (rank, doc_id, score_e6).
 
     One TAAT pass over all scoring terms (:func:`_dsl_arrays`) gives the
-    match arrays; the must / must_any / must_not / pinned gates mask
-    them, and the organic top-k is a bounded cut of what is left —
-    through the verify refill of ``search_filtered`` when the query has
-    filter clauses.  Ranking is (score desc, doc_id asc)."""
+    match ordinals; the must / must_any / must_not / pinned gates are
+    masks over the doc ordinals, and the organic top-k is a bounded cut
+    of what they keep — through the verify refill of
+    ``search_filtered`` when the query has filter clauses.  Ranking is
+    (score desc, doc_id asc)."""
     plan = _parse(query)
     pins = plan["pinned"][:k]
     organic_k = k - len(pins)
-    ids, scores = _dsl_arrays(eng, plan["terms"],
-                              boosts=plan["boosts"] or None,
-                              minimum_should_match=max(plan["msm"], 1),
-                              mode=plan["mode"],
-                              tie_breaker=plan["tie_breaker"])
-    keep = np.ones(ids.size, dtype=bool)
+    ords, scores = _dsl_arrays(eng, plan["terms"],
+                               boosts=plan["boosts"] or None,
+                               minimum_should_match=max(plan["msm"], 1),
+                               mode=plan["mode"],
+                               tie_breaker=plan["tie_breaker"])
+    keep = np.ones(eng.docs.size, dtype=bool)
     if plan["must_terms"]:
-        allowed = None
-        for post in _posting_ids(eng, plan["must_terms"]):
-            allowed = post if allowed is None \
-                else np.intersect1d(allowed, post, assume_unique=True)
-        keep &= np.isin(ids, allowed)
+        keep &= eng._hits(plan["must_terms"]) == len(set(plan["must_terms"]))
     for group in plan["must_any"]:
-        uni = np.unique(np.concatenate(
-            _posting_ids(eng, group) or [np.empty(0, np.int64)]))
-        keep &= np.isin(ids, uni)
+        keep &= eng._hits(group) > 0
     if plan["must_not_terms"]:
-        exc = np.unique(np.concatenate(
-            _posting_ids(eng, plan["must_not_terms"])
-            or [np.empty(0, np.int64)]))
-        keep &= ~np.isin(ids, exc)
+        keep &= eng._hits(plan["must_not_terms"]) == 0
     if pins:
-        keep &= ~np.isin(ids, np.array(pins, dtype=np.int64))
-    ids, scores = ids[keep], scores[keep]
+        keep &= ~doc_mask(eng.docs, pins)
+    keep = keep[ords]
+    ids, scores = eng.docs[ords[keep]], scores[keep]
     if plan["where"]:
         hits = _verify_refill(eng, ids, scores, plan["where"], organic_k)
+        ids = np.array([d for d, _ in hits], dtype=np.int64)
+        scores = np.array([s for _, s in hits], dtype=np.float64)
     else:
         idx = topk_order(scores, ids, organic_k)
-        hits = list(zip(ids[idx].tolist(), scores[idx].tolist()))
-    sc = score_docs(eng, plan["terms"], pins) if pins else {}
-    all_ids = pins + [d for d, _ in hits]
-    scores = [sc[d] for d in pins] + [s for _, s in hits]
-    return pa.table({
-        "rank": pa.array(range(1, len(all_ids) + 1), pa.int64()),
-        "doc_id": pa.array(all_ids, pa.int64()),
-        "score_e6": pa.array(
-            [int(np.floor(s * 1_000_000 + 0.5)) for s in scores],
-            pa.int64()),
-    })
+        ids, scores = ids[idx], scores[idx]
+    if pins:
+        sc = score_docs(eng, plan["terms"], pins)
+        ids = np.concatenate([np.asarray(pins, dtype=np.int64), ids])
+        scores = np.concatenate([[sc[d] for d in pins], scores])
+    # zero-copy int64 columns: a k-row table costs a few us, where
+    # converting each column with pa.array costs ~10
+    cols = [np.ascontiguousarray(c, dtype=np.int64) for c in (
+        np.arange(1, ids.size + 1), ids, np.floor(scores * 1_000_000 + 0.5))]
+    return pa.Table.from_arrays(
+        [pa.Array.from_buffers(pa.int64(), c.size, [None, pa.py_buffer(c)])
+         for c in cols], names=["rank", "doc_id", "score_e6"])
 
 
 # ---------------------------------------------------------------------------
@@ -476,24 +462,19 @@ def _qs_boost(node: tuple, b: float) -> tuple:
     return (kind, [_qs_boost(c, b) for c in node[1]])
 
 
-def _qs_match_ids(node: tuple, eng: SearchEngine, peng,
-                  cache: dict) -> np.ndarray:
-    """Sorted unique doc_ids matching a (non-negated) AST node — pure
-    df-bounded posting / sidecar / docstore-column set algebra."""
+def _qs_match_mask(node: tuple, eng: SearchEngine, peng,
+                   cache: dict) -> np.ndarray:
+    """Mask over the doc ordinals of the docs matching a (non-negated)
+    AST node: term leaves are live posting masks, metadata leaves live
+    docstore-column reads, phrase leaves the sidecar's occurrence set,
+    and AND / OR / NOT combine masks."""
     kind = node[0]
     if kind == "term":
         _, field, tok, _ = node
-        if field == "text":
-            key = ("t", tok)
-            if key not in cache:
-                ids = _posting_ids(eng, [tok])[0]
-                if eng.deleted.size:
-                    ids = ids[~np.isin(ids, eng.deleted)]
-                cache[key] = ids
-            return cache[key]
-        key = ("m", field, tok)
+        key = ("t", tok) if field == "text" else ("m", field, tok)
         if key not in cache:
-            cache[key] = eng.allowed_doc_ids({field: tok})
+            cache[key] = eng._hits([tok]) > 0 if field == "text" else \
+                doc_mask(eng.docs, eng.allowed_doc_ids({field: tok}))
         return cache[key]
     if kind == "phrase":
         _, _, toks, _ = node
@@ -503,35 +484,26 @@ def _qs_match_ids(node: tuple, eng: SearchEngine, peng,
                 raise DslError("phrase clause needs a PhraseEngine "
                                "(positions sidecar)")
             m = peng.search_phrase(list(toks))
-            cache[key] = (np.sort(np.array([d for d, _ in m],
-                                           dtype=np.int64)),
+            cache[key] = (doc_mask(eng.docs, [d for d, _ in m]),
                           {d: f for d, f in m})
         return cache[key][0]
     if kind == "and":
-        pos_ids = None
-        for c in node[1]:
-            if c[0] == "not":
-                continue
-            ids = _qs_match_ids(c, eng, peng, cache)
-            pos_ids = ids if pos_ids is None \
-                else np.intersect1d(pos_ids, ids, assume_unique=True)
-        if pos_ids is None:
+        pos = [c for c in node[1] if c[0] != "not"]
+        if not pos:
             raise DslError("a bool must have at least one positive "
                            "clause (pure NOT is unsupported, as in ES)")
+        acc = np.logical_and.reduce(
+            [_qs_match_mask(c, eng, peng, cache) for c in pos])
         for c in node[1]:
             if c[0] == "not":
-                exc = _qs_match_ids(c[1], eng, peng, cache)
-                pos_ids = np.setdiff1d(pos_ids, exc, assume_unique=True)
-        return pos_ids
+                acc = acc & ~_qs_match_mask(c[1], eng, peng, cache)
+        return acc
     if kind == "or":
-        parts = []
-        for c in node[1]:
-            if c[0] == "not":
-                raise DslError("NOT directly under OR is unsupported "
-                               "(as in Lucene)")
-            parts.append(_qs_match_ids(c, eng, peng, cache))
-        return np.unique(np.concatenate(parts)) if parts \
-            else np.empty(0, np.int64)
+        if any(c[0] == "not" for c in node[1]):
+            raise DslError("NOT directly under OR is unsupported "
+                           "(as in Lucene)")
+        return np.logical_or.reduce(
+            [_qs_match_mask(c, eng, peng, cache) for c in node[1]])
     raise DslError(f"cannot match node kind {kind}")
 
 
@@ -556,10 +528,9 @@ def query_string_search(eng: SearchEngine, query: str, k: int = 10,
 
     Semantics (each Lucene-faithful and reproduced by the SQL oracle):
 
-    * **matching** is boolean set algebra over doc-id sets — term
-      postings, phrase-sidecar occurrence sets, metadata docstore
-      column scans (only doc_id + the field column leave storage) —
-      every set df-/filter-bounded, never a corpus materialization;
+    * **matching** is boolean algebra over masks of the doc ordinals —
+      term postings, phrase-sidecar occurrence sets, metadata docstore
+      column scans (only doc_id + the field column leave storage);
     * **scoring** sums every non-negated TEXT leaf whose own match set
       contains the doc (Lucene's BooleanScorer: an OR branch that also
       matches still contributes), boost = product along the path;
@@ -574,64 +545,45 @@ def query_string_search(eng: SearchEngine, query: str, k: int = 10,
 
     ast = parse_query_string(query, default_operator)
     cache: dict = {}
-    ids = _qs_match_ids(ast, eng, peng, cache)
-    if ids.size == 0:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "score_e6": pa.array([], pa.int64())})
+    match = _qs_match_mask(ast, eng, peng, cache)
     leaves: list = []
     _qs_scoring_leaves(ast, leaves)
-    scores = np.zeros(ids.size, dtype=np.float64)
-    seen_terms: set = set()
-    seen_phrases: set = set()
+    scores = np.zeros(eng.docs.size, dtype=np.float64)
+    seen: set = set()
     for leaf in leaves:
-        if leaf[0] == "term":
-            _, _, tok, boost = leaf
-            if (tok, boost) in seen_terms:
+        kind, _, toks, boost = leaf
+        key = (kind, tuple(toks) if kind == "phrase" else toks, boost)
+        if key in seen:
+            continue
+        seen.add(key)
+        if kind == "term":
+            post = eng._term_postings([toks]).get(toks)
+            if post is None:
                 continue
-            seen_terms.add((tok, boost))
-            hit = eng.load_terms([tok]).get(tok)
-            if hit is None:
-                continue
-            df, blob = hit
-            post = codec.decode_posting(blob)
-            idx = np.searchsorted(post.doc_ids, ids)
-            np.clip(idx, 0, max(post.doc_ids.size - 1, 0), out=idx)
-            valid = (post.doc_ids.size > 0) \
-                & (post.doc_ids[idx] == ids)
-            if not valid.any():
-                continue
-            w = idf_fn(eng.N, df) * boost
-            scores[valid] += w * codec.bm25_impact(
-                post.tfs[idx[valid]], post.dls[idx[valid]],
-                eng.avgdl, eng.k1, eng.b)
-        else:
-            _, _, toks, boost = leaf
-            tkey = (tuple(toks), boost)
-            if tkey in seen_phrases:
-                continue
-            seen_phrases.add(tkey)
-            # occurrence map is already in the match cache (or compute)
-            _qs_match_ids(leaf, eng, peng, cache)
-            freq = cache[("p", tuple(toks))][1]
-            loaded = eng.load_terms(sorted(set(toks)))
-            idf_sum = sum(idf_fn(eng.N, loaded[t][0])
-                          for t in set(toks) if t in loaded)
-            # doc length from the first constituent term's posting
-            hit0 = loaded.get(toks[0])
-            if hit0 is None or not freq:
-                continue
-            p0 = codec.decode_posting(hit0[1])
-            idx = np.searchsorted(p0.doc_ids, ids)
-            np.clip(idx, 0, max(p0.doc_ids.size - 1, 0), out=idx)
-            pf = np.array([freq.get(int(d), 0) for d in ids],
-                          dtype=np.int64)
-            valid = (pf > 0) & (p0.doc_ids[idx] == ids)
-            if not valid.any():
-                continue
-            scores[valid] += idf_sum * boost * codec.bm25_impact(
-                pf[valid], p0.dls[idx[valid]], eng.avgdl,
-                eng.k1, eng.b)
+            df, o, tfs, dls = post
+            ok = match[o]
+            scores[o[ok]] += idf_fn(eng.N, df) * boost * codec.bm25_impact(
+                tfs[ok], dls[ok], eng.avgdl, eng.k1, eng.b)
+            continue
+        # occurrence map is already in the match cache (or compute)
+        _qs_match_mask(leaf, eng, peng, cache)
+        freq = cache[("p", tuple(toks))][1]
+        posts = eng._term_postings(toks)
+        idf_sum = sum(idf_fn(eng.N, posts[t][0])
+                      for t in set(toks) if t in posts)
+        # doc length from the first constituent term's posting
+        if toks[0] not in posts or not freq:
+            continue
+        _, o, _, dls = posts[toks[0]]
+        ok = match[o]
+        o, dls = o[ok], dls[ok]
+        pf = np.array([freq.get(int(d), 0) for d in eng.docs[o]],
+                      dtype=np.int64)
+        ok = pf > 0
+        scores[o[ok]] += idf_sum * boost * codec.bm25_impact(
+            pf[ok], dls[ok], eng.avgdl, eng.k1, eng.b)
+    sel = np.flatnonzero(match)
+    ids, scores = eng.docs[sel], scores[sel]
     e6 = np.floor(scores * 1_000_000 + 0.5).astype(np.int64)
     order = np.lexsort((ids, -e6))[:k]
     return pa.table({

@@ -50,10 +50,10 @@ Further commands:
   row: STATS combiner + broadcast enrich on the BY key (global form
   appends constants) — the window-function idiom in piped form.
 - **MATCH(field, "terms")** (ES 8.17 full-text function) — resolved
-  ONCE on the driver from the inverted index's posting lists
-  (df-bounded, shard-pruned ``term IN`` reads; content never scanned)
-  and applied per batch as one ``is_in`` kernel on the id column;
-  pass ``search_engine=`` to :func:`run_esql`.
+  ONCE on the driver to the live docs whose postings hold any term
+  (shard-pruned term reads; content never scanned) and applied per
+  batch as one ``is_in`` kernel on the id column; pass
+  ``search_engine=`` to :func:`run_esql`.
 - ``FROM a, b, logs-*`` — multi-index FROM with trailing-wildcard
   patterns: matching Datasets union without materializing (block-list
   union, zero data movement); repeated names count once, like ES.
@@ -725,31 +725,21 @@ def _enrich_lookup(tbl: pa.Table, dim: pa.Table, key: str,
 def _resolve_match(ast, search_engine, id_col: str):
     """Rewrite MATCH(field, "terms") nodes into ("in_ids", idset)
     predicates — the ES 8.17 ES|QL full-text function.  The id set is
-    resolved ONCE on the driver from the inverted index's posting
-    lists (df-bounded, the standard filter-context read — content is
-    never scanned) and broadcast in the op closure; per batch the
-    predicate is a single ``is_in`` kernel on the id column."""
+    resolved ONCE on the driver: the live docs whose postings hold any
+    of the terms (the engine's any-term mask — content is never
+    scanned), broadcast in the op closure; per batch the predicate is a
+    single ``is_in`` kernel on the id column."""
     if not isinstance(ast, tuple):
         return ast
     if ast[0] == "call" and ast[1] == "MATCH":
         if search_engine is None:
             raise EsqlError("MATCH needs a search_engine")
         terms = [t for t in re.split(r"\s+", ast[2][1][1].lower()) if t]
-        ids = np.unique(np.concatenate(
-            [np.asarray(p, dtype=np.int64) for p in
-             _match_posting_ids(search_engine, terms)] or
-            [np.empty(0, np.int64)]))
-        return ("in_ids", id_col, ids)
+        return ("in_ids", id_col,
+                search_engine.docs[search_engine._hits(terms) > 0])
     return tuple(ast[:1]) + tuple(
         _resolve_match(a, search_engine, id_col) if isinstance(a, tuple)
         else a for a in ast[1:])
-
-
-def _match_posting_ids(eng, terms):
-    """Per-term matching doc_id arrays straight from the posting
-    lists (shard-pruned ``term IN`` reads, df-bounded)."""
-    from onestools_eventlog_ray.pipelines.dsl import _posting_ids
-    return _posting_ids(eng, terms)
 
 
 def _as_array(v, n: int):
@@ -953,8 +943,8 @@ def run_esql(query: str, tables: dict, search_engine=None,
 
     ``search_engine`` (a ``SearchEngine`` over the FROM table's
     corpus) enables the ES 8.17 full-text function ``MATCH(field,
-    "terms")``: the predicate resolves ONCE on the driver from the
-    inverted index's posting lists (df-bounded — content is never
+    "terms")``: the predicate resolves ONCE on the driver to the live
+    docs whose postings hold any of the terms (content is never
     scanned) and every batch applies a single ``is_in`` kernel on
     ``id_col``."""
     cmds = parse(query)

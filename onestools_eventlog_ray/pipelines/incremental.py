@@ -316,6 +316,11 @@ class GenerationalSearchEngine:
         e0 = self.engines[0]
         self.k1, self.b = e0.k1, e0.b
 
+    def close(self) -> None:
+        """Close every generation's open shard files."""
+        for e in self.engines:
+            e.close()
+
     def df(self, term: str) -> int:
         total = 0
         for e in self.engines:

@@ -260,9 +260,9 @@ def maxsim_topk_indexed(eng, query_terms: list[str], k: int = 10
        only, posting blobs pruned at the read) evaluates the trigram
        kernel per vocabulary TYPE and keeps terms with sim > 0 to any
        query term — a per-batch type loop, Heaps-bounded.
-    2. **Gather**: postings of the expansion terms load via the same
-       shard-pruned ``term IN`` reads as every other query
-       (df-bounded — content is never touched).
+    2. **Gather**: the expansion terms' doc ordinals come from the
+       engine's postings helper, through the same shard-pruned reads as
+       every other query (df-bounded — content is never touched).
     3. **Score**: scatter-MAX each expansion term's sim into its
        posting's docs per query term, SUM across query terms, top-k
        with the engine's (score desc, doc_id asc) tie-break.
@@ -272,7 +272,6 @@ def maxsim_topk_indexed(eng, query_terms: list[str], k: int = 10
     one oracle.  This is the servable form: the streaming scan is the
     zero-index baseline, this is what a query node runs."""
     import ray.data
-    from onestools_eventlog_ray.functions import codec
 
     def expand(batch: pa.Table) -> pa.Table:
         terms = batch["term"].to_pylist()
@@ -292,46 +291,24 @@ def maxsim_topk_indexed(eng, query_terms: list[str], k: int = 10
                                  columns=["term"])
            .map_batches(expand, batch_format="pyarrow")
            .take_all())                      # kernel-hit types only
-    if not exp:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "maxsim_e6": pa.array([], pa.int64())})
     by_term: dict[str, list[tuple[int, int]]] = {}
     for r in exp:
         by_term.setdefault(r["term"], []).append((int(r["qi"]),
                                                   int(r["sim_e6"])))
-    loaded = eng.load_terms(sorted(by_term))
-    Q = len(query_terms)
-    doc_rows: dict[int, np.ndarray] = {}
+    z = np.empty(0, dtype=np.int64)
+    all_ords, all_qi, all_sim = [z], [z], [z]
     # accumulate per-doc MAX per query term, df-bounded
-    all_ids = []
-    all_qi = []
-    all_sim = []
-    for t, hits in by_term.items():
-        got = loaded.get(t)
-        if got is None:
-            continue
-        ids = codec.decode_posting(got[1]).doc_ids
-        for qi, s in hits:
-            all_ids.append(ids)
-            all_qi.append(np.full(ids.size, qi, np.int64))
-            all_sim.append(np.full(ids.size, s, np.int64))
-    if not all_ids:
-        return pa.table({"rank": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "maxsim_e6": pa.array([], pa.int64())})
-    ids = np.concatenate(all_ids)
-    qi = np.concatenate(all_qi)
-    sim = np.concatenate(all_sim)
-    uids, dinv = np.unique(ids, return_inverse=True)
-    mx = np.zeros((uids.size, Q), dtype=np.int64)
-    np.maximum.at(mx, (dinv, qi), sim)
-    if eng.deleted.size:
-        live = ~np.isin(uids, eng.deleted)
-        uids, mx = uids[live], mx[live]
+    for t, (_, ords, _, _) in eng._term_postings(list(by_term)).items():
+        for qi, s in by_term[t]:
+            all_ords.append(ords)
+            all_qi.append(np.full(ords.size, qi, np.int64))
+            all_sim.append(np.full(ords.size, s, np.int64))
+    uo, dinv = np.unique(np.concatenate(all_ords), return_inverse=True)
+    mx = np.zeros((uo.size, len(query_terms)), dtype=np.int64)
+    np.maximum.at(mx, (dinv, np.concatenate(all_qi)), np.concatenate(all_sim))
     score = mx.sum(axis=1)
-    keep = score > 0
-    uids, score = uids[keep], score[keep]
+    keep = (score > 0) & eng.live[uo]
+    uids, score = eng.docs[uo[keep]], score[keep]
     order = np.lexsort((uids, -score))[:k]
     return pa.table({
         "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),

@@ -27,7 +27,8 @@ import os
 import numpy as np
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions.bm25 import accumulate, pick_topk
+from onestools_eventlog_ray.functions.bm25 import (accumulate, doc_mask,
+                                                   pick_topk)
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.sources.corpus import CorpusSpec
@@ -140,7 +141,6 @@ def search_combined_fields(eng: MultiFieldEngine, terms: list[str],
     stored per-field norms is the equivalent read).  Field fold order
     is sorted-field, term fold order sorted-term — deterministic for
     the SQL oracle."""
-    from onestools_eventlog_ray.functions import codec
     from onestools_eventlog_ray.functions.bm25 import idf as idf_fn
 
     fields = sorted(eng.engines)
@@ -150,52 +150,44 @@ def search_combined_fields(eng: MultiFieldEngine, terms: list[str],
     for f in fields:
         avgdl_c += eng.boosts[f] * eng.engines[f].avgdl
 
-    uniq = sorted(set(terms))
-    post: dict[tuple[str, str], object] = {}
+    # each field's postings on the union ordinals; a doc tombstoned in
+    # any field is not live (the fields share doc_ids)
+    post: dict[tuple[str, str], tuple] = {}
+    live = np.ones(eng.docs.size, dtype=bool)
     for f in fields:
-        loaded = eng.engines[f].load_terms(uniq)
-        for t in uniq:
-            if t in loaded:
-                post[(f, t)] = codec.decode_posting(loaded[t][1])
-    if not post:
-        return []
-    all_ids = np.unique(np.concatenate(
-        [p.doc_ids for p in post.values()]))
-    deleted = np.unique(np.concatenate(
-        [eng.engines[f].deleted for f in fields])) \
-        if any(eng.engines[f].deleted.size for f in fields) \
-        else np.empty(0, np.int64)
-    if deleted.size:
-        all_ids = all_ids[~np.isin(all_ids, deleted)]
+        e = eng.engines[f]
+        for t, (_, o, tfs, _) in e._term_postings(terms).items():
+            post[(f, t)] = (np.searchsorted(eng.docs, e.docs[o]), tfs)
+        live &= ~doc_mask(eng.docs, e.deleted)
+    cand = np.zeros(eng.docs.size, dtype=bool)
+    for o, _ in post.values():
+        cand[o] = True
+    all_ids = eng.docs[cand & live]
     if all_ids.size == 0:
         return []
 
-    dl_c = np.zeros(all_ids.size, dtype=np.float64)
+    dl_c = np.zeros(eng.docs.size, dtype=np.float64)
     for f in fields:
         tbl = eng.engines[f].fetch_docs(all_ids.tolist(),
                                         ["doc_id", "n_tokens"])
         got = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         ntk = tbl["n_tokens"].to_numpy(zero_copy_only=False) \
             .astype(np.float64)
-        pos = np.searchsorted(all_ids, got)     # align, order-safe
-        dl_c[pos] += eng.boosts[f] * ntk
+        dl_c[np.searchsorted(eng.docs, got)] += eng.boosts[f] * ntk
 
     denom_dl = k1 * (1.0 - b + b * dl_c / avgdl_c)
-    scores = np.zeros(all_ids.size, dtype=np.float64)
-    matched = np.zeros(all_ids.size, dtype=bool)
-    for t in uniq:
-        tf_c = np.zeros(all_ids.size, dtype=np.float64)
-        seen = np.zeros(all_ids.size, dtype=bool)
+    scores = np.zeros(eng.docs.size, dtype=np.float64)
+    matched = np.zeros(eng.docs.size, dtype=bool)
+    for t in sorted(set(terms)):
+        tf_c = np.zeros(eng.docs.size, dtype=np.float64)
+        seen = np.zeros(eng.docs.size, dtype=bool)
         for f in fields:
-            p = post.get((f, t))
-            if p is None:
+            if (f, t) not in post:
                 continue
-            pos = np.searchsorted(all_ids, p.doc_ids)
-            ok = (pos < all_ids.size)
-            pos = np.minimum(pos, all_ids.size - 1)
-            ok &= all_ids[pos] == p.doc_ids     # drop tombstoned ids
-            tf_c[pos[ok]] += eng.boosts[f] * p.tfs[ok]
-            seen[pos[ok]] = True
+            o, tfs = post[(f, t)]
+            ok = live[o]
+            tf_c[o[ok]] += eng.boosts[f] * tfs[ok]
+            seen[o[ok]] = True
         df_c = int(seen.sum())
         if df_c == 0:
             continue
@@ -204,6 +196,6 @@ def search_combined_fields(eng: MultiFieldEngine, terms: list[str],
         scores[m] += (w * tf_c[m] * (k1 + 1.0)
                       / (tf_c[m] + denom_dl[m]))
         matched |= m
-    ids_m, sc_m = all_ids[matched], scores[matched]
+    ids_m, sc_m = eng.docs[matched], scores[matched]
     idx = pick_topk(tie)(sc_m, ids_m, k)
     return [(int(ids_m[i]), float(sc_m[i])) for i in idx]

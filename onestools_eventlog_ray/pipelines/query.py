@@ -108,11 +108,27 @@ class SearchEngine:
     an ordinal being the doc's position in ``docs``, so a warm query is
     one dense accumulate and a top-k cut.
 
+    One lookup rule serves every query family:
+
+    - a term's doc ordinals come from the weight cache
+      (:meth:`_term_parts`), and set algebra over terms (must, should,
+      must_not, every-term, minimum-should-match counts) is boolean or
+      ``np.bincount`` masks over the ordinals (:meth:`_hits`);
+    - a caller that needs tf or dl gets ``(df, ordinals, tfs, dls)``
+      from :meth:`_term_postings`, the only decode besides the cache
+      fill;
+    - tombstones are the ``live`` mask; doc_ids from outside the
+      postings (docstore reads, requested ids) pass through
+      :meth:`_live_ids`.
+
+    Results map back to doc_ids through ``docs[ordinals]`` at the edge.
+
     Snapshot rule: each shard is opened once, at its first probe, and
-    read from that open file from then on.  A shard replaced on disk
-    under an open engine (a rebuild's atomic rename) is not seen; the
-    engine answers from the files it opened, and cached terms from its
-    caches.  Open a new engine to see a rewritten index."""
+    read from that open file from then on, until :meth:`close`.  A shard
+    replaced on disk under an open engine (a rebuild's atomic rename) is
+    not seen; the engine answers from the files it opened, and cached
+    terms from its caches.  Open a new engine to see a rewritten
+    index."""
 
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
@@ -157,6 +173,10 @@ class SearchEngine:
     def deleted(self, ids: np.ndarray) -> None:
         self._deleted = ids
         self.live = ~doc_mask(self.docs, ids)
+
+    def close(self) -> None:
+        """Close the open shard files (a later probe reopens them)."""
+        self._shards.close()
 
     # ---- posting access -------------------------------------------------
 
@@ -222,30 +242,20 @@ class SearchEngine:
         map — matches bit-for-bit.
 
         -> [(doc_id, score_e6)] by (score_e6 desc, doc_id asc), top k."""
-        all_terms = sorted({t for g in groups for t in g})
-        loaded = self.load_terms(all_terms)
+        posts = self._term_postings([t for g in groups for t in g])
         parts = []
         for g in groups:
-            gi, gt, gd = [], [], []
-            for t in sorted(set(g)):
-                hit = loaded.get(t)
-                if hit is None:
-                    continue
-                post = codec.decode_posting(hit[1])
-                gi.append(post.doc_ids)
-                gt.append(post.tfs)
-                gd.append(post.dls)
-            if not gi:
+            got = [posts[t] for t in sorted(set(g)) if t in posts]
+            if not got:
                 continue
-            ids = np.concatenate(gi)
-            uids, first, inv = np.unique(ids, return_index=True,
-                                         return_inverse=True)
-            tf = np.zeros(uids.size, dtype=np.int64)
-            np.add.at(tf, inv, np.concatenate(gt))
-            dls = np.concatenate(gd)[first]
-            w = idf_fn(self.N, uids.size) \
+            uo, first, inv = np.unique(np.concatenate([p[1] for p in got]),
+                                       return_index=True, return_inverse=True)
+            tf = np.zeros(uo.size, dtype=np.int64)
+            np.add.at(tf, inv, np.concatenate([p[2] for p in got]))
+            dls = np.concatenate([p[3] for p in got])[first]
+            w = idf_fn(self.N, uo.size) \
                 * codec.bm25_impact(tf, dls, self.avgdl, self.k1, self.b)
-            parts.append((np.searchsorted(self.docs, uids), np.maximum(
+            parts.append((uo, np.maximum(
                 np.floor(w * 1_000_000 + 0.5).astype(np.int64), 0)))
         ords, score = accumulate(parts, self.live)
         uids = self.docs[ords]
@@ -264,17 +274,9 @@ class SearchEngine:
         the unioned postings, a vectorized modular threshold, no text
         access.  -> [(doc_id, n_matched, msm_required)] ordered by
         (n_matched desc, doc_id asc), top k."""
-        uniq = sorted(set(terms))
-        loaded = self.load_terms(uniq)
-        parts = [codec.decode_posting(blob).doc_ids
-                 for _, blob in loaded.values()]
-        if not parts:
-            return []
-        uids, counts = np.unique(np.concatenate(parts),
-                                 return_counts=True)
-        if self.deleted.size:
-            live = ~np.isin(uids, self.deleted)
-            uids, counts = uids[live], counts[live]
+        n = self._hits(terms)
+        hit = np.flatnonzero(n)
+        uids, counts = self.docs[hit], n[hit]
         msm = 1 + (uids % msm_mod)
         m = counts >= msm
         uids, counts, msm = uids[m], counts[m], msm[m]
@@ -302,15 +304,12 @@ class SearchEngine:
         parts, not the whole docstore (round-1 judge item #7).  Files
         from the legacy naming (no range) are never pruned."""
         import glob
-        if self.deleted.size and doc_ids:
-            req = np.asarray(list(doc_ids), dtype=np.int64)
-            doc_ids = req[~np.isin(req, self.deleted)].tolist()
+        wanted = self._live_ids(list(doc_ids))
         files = sorted(glob.glob(os.path.join(self.index_dir,
                                               "docstore", "*.parquet")))
-        if not files or not doc_ids:
+        if not files or not wanted.size:
             return pa.table({"doc_id": pa.array([], pa.int64())})
-        lo, hi = min(doc_ids), max(doc_ids)
-        wanted = np.asarray(sorted(set(doc_ids)), dtype=np.int64)
+        lo, hi = wanted[0], wanted[-1]
         pruned = []
         for f in files:
             rng = _part_range(f)
@@ -327,7 +326,7 @@ class SearchEngine:
         if not pruned:
             return pa.table({"doc_id": pa.array([], pa.int64())})
         tbl = pq.read_table(pruned, columns=columns,
-                            filters=[("doc_id", "in", list(doc_ids))])
+                            filters=[("doc_id", "in", wanted.tolist())])
         # vectorized reorder to the requested order
         req = pa.array(list(doc_ids), pa.int64())
         pos = pc.index_in(tbl["doc_id"], value_set=req)
@@ -346,11 +345,7 @@ class SearchEngine:
             return np.empty(0, dtype=np.int64)
         tbl = pq.read_table(files, columns=["doc_id"],
                             filters=[(c, "==", v) for c, v in where.items()])
-        ids = np.sort(tbl["doc_id"].to_numpy(zero_copy_only=False)
-                      .astype(np.int64))
-        if self.deleted.size:
-            ids = ids[~np.isin(ids, self.deleted)]
-        return ids
+        return self._live_ids(tbl["doc_id"].to_numpy(zero_copy_only=False))
 
     def search_filtered(self, terms: list[str], where: dict,
                         k: int = 10, tie: str = "float"
@@ -403,6 +398,33 @@ class SearchEngine:
                     self._w_cache.popitem(last=False)
             parts.append(cached)
         return parts
+
+    def _hits(self, terms: list[str]) -> np.ndarray:
+        """How many of the distinct ``terms`` each doc ordinal holds, 0
+        at docs that are not ``live``, from the weight cache's ordinals:
+        ``> 0`` is the any-term set, ``== len(set(terms))`` the
+        every-term set."""
+        ords = [o for o, _ in self._term_parts(sorted(set(terms)))]
+        return np.bincount(np.concatenate([np.empty(0, np.int64)] + ords),
+                           minlength=self.docs.size) * self.live
+
+    def _term_postings(self, terms: list[str]) -> dict[str, tuple]:
+        """term -> ``(df, doc ordinals, tfs, dls)`` of each of ``terms``
+        with a posting, in sorted term order: the one decode for callers
+        that need tf or dl."""
+        out = {}
+        for t, (df, blob) in sorted(self.load_terms(
+                sorted(set(terms))).items()):
+            post = codec.decode_posting(blob)
+            out[t] = (df, np.searchsorted(self.docs, post.doc_ids),
+                      post.tfs, post.dls)
+        return out
+
+    def _live_ids(self, doc_ids) -> np.ndarray:
+        """The distinct ``doc_ids`` that are live docs of this index,
+        ascending: the tombstone mask of ids that come from outside the
+        postings."""
+        return self.docs[doc_mask(self.docs, doc_ids) & self.live]
 
     def _taat_arrays(self, terms: list[str],
                      allowed: np.ndarray | None = None,
@@ -457,29 +479,15 @@ class SearchEngine:
         expansion postings load via the same shard-pruned term reads
         as every query.  Either clause may be empty (prefix-only or
         no-expansion searches degrade gracefully)."""
-        expansions = expand_prefix_terms(self.index_dir, prefix,
-                                         max_expansions)
-        ids_np, base = (self._taat_arrays(terms) if terms
-                        else (np.empty(0, np.int64),
-                              np.empty(0, np.float64)))
-        pdocs = np.empty(0, np.int64)
-        if expansions:
-            from onestools_eventlog_ray.functions import codec
-            loaded = self.load_terms(expansions)
-            parts = [codec.decode_posting(blob).doc_ids
-                     for _, (_df, blob) in sorted(loaded.items())]
-            if parts:
-                pdocs = np.unique(np.concatenate(parts))
-                if self.deleted.size:
-                    pdocs = pdocs[~np.isin(pdocs, self.deleted)]
-        if ids_np.size == 0 and pdocs.size == 0:
-            return []
-        uids = np.union1d(ids_np, pdocs)
-        scores = np.zeros(uids.size, dtype=np.float64)
-        if ids_np.size:
-            scores[np.searchsorted(uids, ids_np)] = base
-        if pdocs.size:
-            scores[np.searchsorted(uids, pdocs)] += 1.0
+        ords, base = accumulate(self._term_parts(sorted(set(terms))),
+                                self.live)
+        match = self._hits(expand_prefix_terms(self.index_dir, prefix,
+                                               max_expansions)) > 0
+        scores = match.astype(np.float64)
+        scores[ords] += base
+        match[ords] = True
+        sel = np.flatnonzero(match)
+        uids, scores = self.docs[sel], scores[sel]
         idx = pick_topk(tie)(scores, uids, k)
         return [(int(uids[i]), float(scores[i])) for i in idx]
 
@@ -488,14 +496,13 @@ class SearchEngine:
         """Boolean must / must_not: BM25 over ``terms``, dropping every
         document that contains ANY of ``exclude_terms`` (ES bool-must_not
         semantics; scores are those of the positive terms only).  The
-        exclusion set is the union of the negative terms' postings —
-        read by the same shard-pruned term lookup, never a corpus scan."""
-        neg = self.load_terms(sorted(set(exclude_terms)))
-        parts = [codec.decode_posting(blob).doc_ids
-                 for _, blob in neg.values()]
-        excluded = np.unique(np.concatenate(parts)) if parts \
-            else np.empty(0, dtype=np.int64)
-        return self.search(terms, k, excluded=excluded, tie=tie)
+        exclusion set is the union of the negative terms' postings,
+        masked out of ``live`` before the accumulate."""
+        ords, scores = accumulate(self._term_parts(sorted(set(terms))),
+                                  self.live & (self._hits(exclude_terms) == 0))
+        ids = self.docs[ords]
+        idx = pick_topk(tie)(scores, ids, k)
+        return list(zip(ids[idx].tolist(), scores[idx].tolist()))
 
     def search_boosting(self, terms: list[str], negative_terms: list[str],
                         negative_boost: float = 0.5,
@@ -504,22 +511,16 @@ class SearchEngine:
         """ES ``boosting`` query: positive BM25, but documents matching
         ANY negative term are DEMOTED (score x ``negative_boost``), not
         excluded — the soft counterpart of :meth:`search_not`.  The
-        demotion set is the union of the negative terms' postings
-        (shard-pruned lookups); because demotion can reorder the tail,
-        the cut happens after the multiply.  ``negative_boost`` should
-        be a dyadic rational (0.5, 0.25) so the float product is exact
-        and the e6-ranked oracle matches bit-for-bit."""
-        neg = self.load_terms(sorted(set(negative_terms)))
-        parts = [codec.decode_posting(blob).doc_ids
-                 for _, blob in neg.values()]
-        neg_ids = np.unique(np.concatenate(parts)) if parts \
-            else np.empty(0, dtype=np.int64)
-        ids, scores = self._taat_arrays(terms)
-        if not ids.size:
-            return []
-        if neg_ids.size:
-            scores = np.where(np.isin(ids, neg_ids),
-                              scores * negative_boost, scores)
+        demotion set is the union of the negative terms' postings, a
+        mask over the doc ordinals; because demotion can reorder the
+        tail, the cut happens after the multiply.  ``negative_boost``
+        should be a dyadic rational (0.5, 0.25) so the float product is
+        exact and the e6-ranked oracle matches bit-for-bit."""
+        ords, scores = accumulate(self._term_parts(sorted(set(terms))),
+                                  self.live)
+        scores = np.where(self._hits(negative_terms)[ords] > 0,
+                          scores * negative_boost, scores)
+        ids = self.docs[ords]
         idx = pick_topk(tie)(scores, ids, k)
         return [(int(ids[i]), float(scores[i])) for i in idx]
 
@@ -651,42 +652,35 @@ class SearchEngine:
         if not self.total_tokens:
             raise ValueError("index stats lack total_tokens; rebuild")
         T = self.total_tokens
-        uniq = sorted(set(terms))
-        loaded = self.load_terms(uniq)
         parts = []
-        for t in uniq:
-            hit = loaded.get(t)
-            if hit is None:
-                continue
-            post = codec.decode_posting(hit[1])
-            cf_t = int(post.tfs.sum())
+        for _, ords, tf, dl in self._term_postings(terms).values():
+            cf_t = int(tf.sum())
             p = cf_t / T                      # one double divide == oracle
-            tfs = post.tfs.astype(np.float64)
-            dls = post.dls.astype(np.float64)
+            tfs = tf.astype(np.float64)
+            dls = dl.astype(np.float64)
             if similarity == "lm_dirichlet":
                 val = np.log(1.0 + tfs / (mu * p)) + np.log(mu / (dls + mu))
             elif similarity == "lm_jm":
                 coef = (1.0 - lam) / lam
                 val = np.log(1.0 + coef * (tfs / dls) / p)
             elif similarity == "dfi":
-                e = (post.dls * cf_t).astype(np.float64) / T
+                e = (dl * cf_t).astype(np.float64) / T
                 val = (tfs - e) / np.sqrt(e)
             elif similarity == "dfr_inl2":
                 tfn = tfs * np.log2(1.0 + self.avgdl / dls)
                 val = tfn / (tfn + 1.0) \
-                    * np.log2((self.N + 1.0) / (post.doc_ids.size + 0.5))
+                    * np.log2((self.N + 1.0) / (ords.size + 0.5))
             elif similarity == "ib_ll":
                 # IBSimilarity(DistributionLL, LambdaDF, H2 c=1):
                 # lambda = (df+1)/(N+1), tfn = tf*log2(1+avgdl/dl),
                 # score = ln((tfn + lambda)/lambda)
-                lam_df = (post.doc_ids.size + 1.0) / (self.N + 1.0)
+                lam_df = (ords.size + 1.0) / (self.N + 1.0)
                 tfn = tfs * np.log2(1.0 + self.avgdl / dls)
                 val = np.log((tfn + lam_df) / lam_df)
             else:
                 raise ValueError(f"unknown similarity {similarity!r}")
-            parts.append((np.searchsorted(self.docs, post.doc_ids),
-                          np.maximum(np.floor(val * 1_000_000 + 0.5)
-                                     .astype(np.int64), 0)))
+            parts.append((ords, np.maximum(
+                np.floor(val * 1_000_000 + 0.5).astype(np.int64), 0)))
         ords, scores = accumulate(parts, self.live)
         uids = self.docs[ords]
         order = np.lexsort((uids, -scores))[:k]
@@ -948,21 +942,13 @@ def facet_counts(index_dir: str, term: str,
     broadcast ONCE via ``ray.put``; the docstore streams through a
     ``map_batches`` semi-join (sorted-side ``np.isin``) followed by the
     partial-then-tiny-groupby fold — no all-to-all on the corpus, only
-    O(|by-cardinality|) rows shuffle.  Tombstoned docs are masked from
-    the match set before broadcast."""
+    O(|by-cardinality|) rows shuffle."""
     import ray
     import ray.data
     from ray.data.aggregate import Sum as RSum
 
     eng = SearchEngine(index_dir)
-    loaded = eng.load_terms([term])
-    if term in loaded:
-        ids = codec.decode_posting(loaded[term][1]).doc_ids
-        if eng.deleted.size:
-            ids = ids[~np.isin(ids, eng.deleted)]
-    else:
-        ids = np.empty(0, dtype=np.int64)
-    ids_ref = ray.put(np.sort(ids))
+    ids_ref = ray.put(eng.docs[eng._hits([term]) > 0])
     cols = list(by)
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -1086,8 +1072,9 @@ def search_dsl(eng: SearchEngine, terms: list[str], k: int = 10,
 
     -> [(doc_id, score)], ``pick_topk(tie)`` order, len <= k: the
     bounded cut of :func:`_dsl_arrays`' match arrays."""
-    ids, scores = _dsl_arrays(eng, terms, boosts, minimum_should_match,
-                              mode, tie_breaker)
+    ords, scores = _dsl_arrays(eng, terms, boosts, minimum_should_match,
+                               mode, tie_breaker)
+    ids = eng.docs[ords]
     idx = pick_topk(tie)(scores, ids, k)
     return list(zip(ids[idx].tolist(), scores[idx].tolist()))
 
@@ -1096,9 +1083,9 @@ def _dsl_arrays(eng: SearchEngine, terms: list[str],
                 boosts: dict[str, float] | None = None,
                 minimum_should_match: int = 1, mode: str = "sum",
                 tie_breaker: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`search_dsl`'s scoring pass -> (doc_ids ascending, scores)
-    of every live match.  Term weights come from the engine's cached
-    ``(ordinals, weights)`` parts (:meth:`SearchEngine._term_parts`),
+    """:func:`search_dsl`'s scoring pass -> (doc ordinals ascending,
+    scores) of every live match.  Term weights come from the engine's
+    cached ``(ordinals, weights)`` parts (:meth:`SearchEngine._term_parts`),
     scaled by the term's boost, and accumulate over dense doc ordinals
     in sorted-unique-term order under the ``live`` mask, so float64
     sums equal :meth:`SearchEngine.search`'s and the e6-ranked SQL
@@ -1111,7 +1098,7 @@ def _dsl_arrays(eng: SearchEngine, terms: list[str],
         parts.append((o, w * boost if boost != 1.0 else w))
     ords, scores = accumulate(parts, eng.live)
     if not parts:
-        return eng.docs[ords], scores
+        return ords, scores
     all_o = np.concatenate([o for o, _ in parts])
     if mode == "max":
         maxs = np.full(eng.docs.size, -np.inf)
@@ -1122,7 +1109,7 @@ def _dsl_arrays(eng: SearchEngine, terms: list[str],
         nmatch = np.bincount(all_o, minlength=eng.docs.size)[ords]
         keep = nmatch >= minimum_should_match
         ords, scores = ords[keep], scores[keep]
-    return eng.docs[ords], scores
+    return ords, scores
 
 
 def search_collapse(eng: SearchEngine, terms: list[str], group_col: str,
@@ -1253,14 +1240,7 @@ def facet_stats(index_dir: str, term: str, by: str = "lang",
     from ray.data.aggregate import Sum as RSum
 
     eng = SearchEngine(index_dir)
-    loaded = eng.load_terms([term])
-    if term in loaded:
-        ids = codec.decode_posting(loaded[term][1]).doc_ids
-        if eng.deleted.size:
-            ids = ids[~np.isin(ids, eng.deleted)]
-    else:
-        ids = np.empty(0, dtype=np.int64)
-    ids_ref = ray.put(np.sort(ids))
+    ids_ref = ray.put(eng.docs[eng._hits([term]) > 0])
 
     def fn(batch: pa.Table) -> pa.Table:
         allowed = ray.get(ids_ref)
@@ -1304,13 +1284,7 @@ def search_sorted_by(eng: SearchEngine, terms: list[str], sort_col: str,
     postings (df-bounded, shard-pruned reads); sort keys come from
     chunked range-pruned docstore fetches of (doc_id, sort_col) only.
     -> (rank, doc_id, <sort_col>), ties broken by doc_id asc."""
-    loaded = eng.load_terms(sorted(set(terms)))
-    parts = [codec.decode_posting(blob).doc_ids
-             for _, blob in loaded.values()]
-    ids = np.unique(np.concatenate(parts)) if parts \
-        else np.empty(0, dtype=np.int64)
-    if eng.deleted.size and ids.size:
-        ids = ids[~np.isin(ids, eng.deleted)]
+    ids = eng.docs[eng._hits(terms) > 0]
     vals = np.empty(ids.size, dtype=np.int64)
     for c0 in range(0, ids.size, 65536):
         chunk = ids[c0:c0 + 65536]
@@ -1341,25 +1315,16 @@ def rare_terms(index_dir: str, max_df: int = 3):
 def adjacency_matrix(eng: SearchEngine, terms: list[str]) -> pa.Table:
     """ES ``adjacency_matrix`` aggregation: for every pair of term
     filters, the count of documents matching BOTH (plus the diagonal).
-    Posting-set intersections — |terms| shard-pruned reads, pairwise
-    ``np.intersect1d`` on sorted doc_id arrays, nothing corpus-sized.
+    One live mask over the doc ordinals per term; a pair's count is the
+    popcount of the two masks' AND.
     -> (key_a, key_b, n_docs), key_a <= key_b, sorted."""
     uniq = sorted(set(terms))
-    loaded = eng.load_terms(uniq)
-    posts = {}
-    for t in uniq:
-        hit = loaded.get(t)
-        ids = codec.decode_posting(hit[1]).doc_ids if hit \
-            else np.empty(0, dtype=np.int64)
-        if eng.deleted.size and ids.size:
-            ids = ids[~np.isin(ids, eng.deleted)]
-        posts[t] = ids
+    masks = [eng._hits([t]) > 0 for t in uniq]
     rows = []
     for i, a in enumerate(uniq):
-        for b in uniq[i:]:
-            n = posts[a].size if a == b else \
-                np.intersect1d(posts[a], posts[b], assume_unique=True).size
-            rows.append((a, b, int(n)))
+        for j in range(i, len(uniq)):
+            rows.append((a, uniq[j],
+                         int(np.count_nonzero(masks[i] & masks[j]))))
     return pa.table({
         "key_a": pa.array([r[0] for r in rows], pa.string()),
         "key_b": pa.array([r[1] for r in rows], pa.string()),
@@ -1413,13 +1378,7 @@ def delete_by_query(index_dir: str, terms: list[str]) -> int:
     Returns the number of docs newly tombstoned."""
     from onestools_eventlog_ray.state.tombstones import delete_docs
     eng = SearchEngine(index_dir)
-    loaded = eng.load_terms(sorted(set(terms)))
-    parts = [codec.decode_posting(blob).doc_ids
-             for _, blob in loaded.values()]
-    ids = np.unique(np.concatenate(parts)) if parts \
-        else np.empty(0, dtype=np.int64)
-    if eng.deleted.size:
-        ids = ids[~np.isin(ids, eng.deleted)]
+    ids = eng.docs[eng._hits(terms) > 0]
     if not ids.size:
         return 0
     return delete_docs(index_dir, ids)
@@ -1494,11 +1453,8 @@ def delete_by_metadata(index_dir: str, where: dict) -> int:
     if not files or expr is None:
         return 0
     dset = pads.dataset(files)
-    ids = dset.to_table(columns=["doc_id"], filter=expr)["doc_id"] \
-        .to_numpy(zero_copy_only=False).astype(np.int64)
-    ids = np.unique(ids)
-    if eng.deleted.size:
-        ids = ids[~np.isin(ids, eng.deleted)]
+    ids = eng._live_ids(dset.to_table(columns=["doc_id"], filter=expr)
+                        ["doc_id"].to_numpy(zero_copy_only=False))
     if not ids.size:
         return 0
     return delete_docs(index_dir, ids)
@@ -1509,26 +1465,25 @@ def explain_score(eng: SearchEngine, terms: list[str],
     """ES ``_explain``: the per-term BM25 score breakdown for ONE
     document — (term, tf, df, dl, idf_e6, contrib_e6), terms sorted,
     only terms present in the doc.  Reads exactly the query terms'
-    postings (shard-pruned); the per-doc probe is a binary search in
-    the doc_id-sorted posting.  The contribution uses the SAME
+    postings (shard-pruned); the per-doc probe is a binary search for
+    the doc's ordinal in each posting.  The contribution uses the SAME
     ``codec.bm25_impact`` kernel as the scorer, so
     ``sum(contrib) == search()``'s score bit-for-bit."""
     out_t, out_tf, out_df, out_dl, out_idf, out_c = [], [], [], [], [], []
-    loaded = eng.load_terms(sorted(set(terms)))
-    for t in sorted(loaded):
-        df, blob = loaded[t]
-        post = codec.decode_posting(blob)
-        i = int(np.searchsorted(post.doc_ids, doc_id))
-        if i >= post.doc_ids.size or post.doc_ids[i] != doc_id:
+    d = int(np.searchsorted(eng.docs, doc_id))
+    if d == eng.docs.size or eng.docs[d] != doc_id:
+        d = -1                      # not a doc of this index
+    for t, (df, ords, tfs, dls) in eng._term_postings(terms).items():
+        i = int(np.searchsorted(ords, d))
+        if i >= ords.size or ords[i] != d:
             continue
         idf_t = idf_fn(eng.N, df)
         contrib = float(idf_t * codec.bm25_impact(
-            post.tfs[i:i + 1], post.dls[i:i + 1], eng.avgdl,
-            eng.k1, eng.b)[0])
+            tfs[i:i + 1], dls[i:i + 1], eng.avgdl, eng.k1, eng.b)[0])
         out_t.append(t)
-        out_tf.append(int(post.tfs[i]))
+        out_tf.append(int(tfs[i]))
         out_df.append(int(df))
-        out_dl.append(int(post.dls[i]))
+        out_dl.append(int(dls[i]))
         out_idf.append(int(np.floor(idf_t * 1_000_000 + 0.5)))
         out_c.append(int(np.floor(contrib * 1_000_000 + 0.5)))
     return pa.table({
@@ -1550,51 +1505,25 @@ def ltr_features(eng: SearchEngine, terms: list[str]) -> pa.Table:
     pass over the query terms' shard-pruned postings, no corpus scan.
     Scores use the SAME ``codec.bm25_impact`` kernel as ``search()``,
     so ``bm25_e6`` equals the scorer's output exactly."""
-    uniq = sorted(set(terms))
-    loaded = eng.load_terms(uniq)
-    ids_parts, w_parts, tf_parts, dl_parts = [], [], [], []
-    for t in uniq:
-        if t not in loaded:
-            continue
-        df, blob = loaded[t]
-        post = codec.decode_posting(blob)
-        idf_t = idf_fn(eng.N, df)
-        w = idf_t * codec.bm25_impact(post.tfs, post.dls, eng.avgdl,
-                                      eng.k1, eng.b)
-        ids_parts.append(post.doc_ids)
-        w_parts.append(w)
-        tf_parts.append(post.tfs)
-        dl_parts.append(post.dls)
-    if not ids_parts:
-        return pa.table({
-            "doc_id": pa.array([], pa.int64()),
-            "n_matched": pa.array([], pa.int64()),
-            "sum_tf": pa.array([], pa.int64()),
-            "dl": pa.array([], pa.int64()),
-            "bm25_e6": pa.array([], pa.int64()),
-        })
-    all_ids = np.concatenate(ids_parts)
-    all_w = np.concatenate(w_parts)
-    all_tf = np.concatenate(tf_parts).astype(np.int64)
-    all_dl = np.concatenate(dl_parts).astype(np.int64)
-    uids, inverse, counts = np.unique(all_ids, return_inverse=True,
-                                      return_counts=True)
-    score = np.zeros(uids.size, dtype=np.float64)
-    np.add.at(score, inverse, all_w)
-    sum_tf = np.zeros(uids.size, dtype=np.int64)
-    np.add.at(sum_tf, inverse, all_tf)
-    dl = np.zeros(uids.size, dtype=np.int64)
-    dl[inverse] = all_dl                      # identical for one doc
-    keep = np.ones(uids.size, dtype=bool)
-    if eng.deleted.size:
-        keep = ~np.isin(uids, eng.deleted)
+    N = eng.docs.size
+    score = np.zeros(N, dtype=np.float64)
+    n_matched = np.zeros(N, dtype=np.int64)
+    sum_tf = np.zeros(N, dtype=np.int64)
+    dl = np.zeros(N, dtype=np.int64)
+    for df, ords, tfs, dls in eng._term_postings(terms).values():
+        score[ords] += idf_fn(eng.N, df) * codec.bm25_impact(
+            tfs, dls, eng.avgdl, eng.k1, eng.b)
+        n_matched[ords] += 1
+        sum_tf[ords] += tfs
+        dl[ords] = dls                        # identical for one doc
+    sel = np.flatnonzero((n_matched > 0) & eng.live)
     return pa.table({
-        "doc_id": pa.array(uids[keep], pa.int64()),
-        "n_matched": pa.array(counts[keep].astype(np.int64), pa.int64()),
-        "sum_tf": pa.array(sum_tf[keep], pa.int64()),
-        "dl": pa.array(dl[keep], pa.int64()),
+        "doc_id": pa.array(eng.docs[sel], pa.int64()),
+        "n_matched": pa.array(n_matched[sel], pa.int64()),
+        "sum_tf": pa.array(sum_tf[sel], pa.int64()),
+        "dl": pa.array(dl[sel], pa.int64()),
         "bm25_e6": pa.array(
-            np.floor(score[keep] * 1_000_000 + 0.5).astype(np.int64),
+            np.floor(score[sel] * 1_000_000 + 0.5).astype(np.int64),
             pa.int64()),
     })
 
@@ -1732,28 +1661,13 @@ def count_matches(index_dir: str, terms: list[str]) -> pa.Table:
     under both OR semantics (any term) and AND semantics (all terms) —
     the hit-count a paging UI shows without fetching hits.
 
-    df-bounded: only the query terms' postings are decoded (shard-pruned
-    reads); the union / intersection runs on sorted id arrays.  No
-    scoring, no docstore access.  -> (mode, n_docs), modes 'all'/'any'."""
-    eng = SearchEngine(index_dir)
-    loaded = eng.load_terms(terms)
-    sets = []
-    for t in terms:
-        if t in loaded:
-            ids = codec.decode_posting(loaded[t][1]).doc_ids
-            if eng.deleted.size:
-                ids = ids[~np.isin(ids, eng.deleted)]
-            sets.append(ids)
-        else:
-            sets.append(np.empty(0, dtype=np.int64))
-    if sets:
-        n_any = int(np.unique(np.concatenate(sets)).size)
-        inter = sets[0]
-        for s in sets[1:]:
-            inter = inter[np.isin(inter, s)]
-        n_all = int(inter.size)
-    else:
-        n_any = n_all = 0
+    Only the query terms' postings are read (shard-pruned); both counts
+    come from one per-doc count of matched terms.  No scoring, no
+    docstore access.  -> (mode, n_docs), modes 'all'/'any'."""
+    uniq = set(terms)
+    n = SearchEngine(index_dir)._hits(terms)
+    n_any = int(np.count_nonzero(n))
+    n_all = int(np.count_nonzero(n == len(uniq))) if uniq else 0
     return pa.table({"mode": pa.array(["all", "any"], pa.string()),
                      "n_docs": pa.array([n_all, n_any], pa.int64())})
 
@@ -1951,9 +1865,9 @@ def count_bool(index_dir: str, tree) -> pa.Table:
     ``and``, ES's filter-context rule — a bare NOT would need the full
     live universe).
 
-    Cost is df-bounded: one shard-pruned posting read per distinct leaf
-    term; every operator is a sorted intersect/union/difference.
-    Tombstoned docs are dropped at the leaves.  -> one row (n_docs)."""
+    One shard-pruned posting read per distinct leaf term; a leaf is a
+    ``live`` mask over the doc ordinals and every operator a boolean
+    AND / OR / AND-NOT of masks.  -> one row (n_docs)."""
 
     def leaves(node, acc):
         if isinstance(node, str):
@@ -1971,25 +1885,15 @@ def count_bool(index_dir: str, tree) -> pa.Table:
 
     eng = SearchEngine(index_dir)
     terms = sorted(leaves(tree, set()))
-    loaded = eng.load_terms(terms)
-    ids_of: dict[str, np.ndarray] = {}
-    for t in terms:
-        if t in loaded:
-            ids = codec.decode_posting(loaded[t][1]).doc_ids
-            if eng.deleted.size:
-                ids = ids[~np.isin(ids, eng.deleted)]
-            ids_of[t] = ids
-        else:
-            ids_of[t] = np.empty(0, dtype=np.int64)
+    mask_of = {t: eng._hits([t]) > 0 for t in terms}
 
     def ev(node) -> np.ndarray:
         if isinstance(node, str):
-            return ids_of[node]
+            return mask_of[node]
         (op, val), = node.items()
         if op == "or":
-            parts = [ev(ch) for ch in val]
-            return np.unique(np.concatenate(parts)) if parts \
-                else np.empty(0, np.int64)
+            return np.logical_or.reduce([ev(ch) for ch in val]
+                                        + [np.zeros(eng.docs.size, bool)])
         if op == "and":
             pos = [ch for ch in val
                    if not (isinstance(ch, dict) and "not" in ch)]
@@ -1999,13 +1903,14 @@ def count_bool(index_dir: str, tree) -> pa.Table:
                 raise ValueError("pure-NOT 'and' needs >= 1 positive leg")
             acc = ev(pos[0])
             for ch in pos[1:]:
-                acc = acc[np.isin(acc, ev(ch))]
+                acc = acc & ev(ch)
             for ch in neg:
-                acc = acc[~np.isin(acc, ev(ch))]
+                acc = acc & ~ev(ch)
             return acc
         raise ValueError(f"'not' only allowed inside 'and' (got {op})")
 
-    return pa.table({"n_docs": pa.array([int(ev(tree).size)], pa.int64())})
+    return pa.table({"n_docs": pa.array([int(np.count_nonzero(ev(tree)))],
+                                        pa.int64())})
 
 
 def bm25_eval(eng: SearchEngine, terms: list[str], k: int = 10) -> pa.Table:
@@ -2017,35 +1922,32 @@ def bm25_eval(eng: SearchEngine, terms: list[str], k: int = 10) -> pa.Table:
     Exact integers: per-rank discount ``floor(1e6 / log2(r + 1))`` is
     rounded FIRST, so DCG/IDCG are order-free int sums;
     ``ndcg_e6 = dcg * 1e6 // idcg``, ``mrr_e6 = 1e6 // first_rel_rank``.
-    The relevant set is the postings intersection (df-bounded).
+    The relevant set is the every-term mask of the query's postings.
     -> one row (n_relevant, first_rel_rank, mrr_e6, ndcg_e6)."""
-    loaded = eng.load_terms(terms)
-    rel = None
-    for t in terms:
-        ids = codec.decode_posting(loaded[t][1]).doc_ids \
-            if t in loaded else np.empty(0, np.int64)
-        rel = ids if rel is None else rel[np.isin(rel, ids)]
-    rel = rel if rel is not None else np.empty(0, np.int64)
-    if eng.deleted.size:
-        rel = rel[~np.isin(rel, eng.deleted)]
+    j = _judge(eng, terms, k)
+    return pa.table({c: pa.array([j[c]], pa.int64()) for c in
+                     ("n_relevant", "first_rel_rank", "mrr_e6", "ndcg_e6")})
 
+
+def _judge(eng: SearchEngine, terms: list[str], k: int) -> dict[str, int]:
+    """One request of :func:`rank_eval` / :func:`bm25_eval`: the e6
+    BM25 top ``k`` judged against the live docs that hold every distinct
+    query term, with the rank discount rounded first."""
+    n = eng._hits(terms)
+    rel = (n == len(set(terms))) & (n > 0)
     top = np.asarray([d for d, _ in eng.search(terms, k, tie="e6")],
                      dtype=np.int64)
-    is_rel = np.isin(top, rel)
-    disc = (10 ** 6 / np.log2(np.arange(1, top.size + 1) + 1))
-    disc_e6 = np.floor(disc + 0.5).astype(np.int64)
+    is_rel = rel[np.searchsorted(eng.docs, top)]
+    n_rel = int(np.count_nonzero(rel))
+    disc_e6 = np.floor(10 ** 6 / np.log2(np.arange(1, top.size + 1) + 1)
+                       + 0.5).astype(np.int64)
     dcg = int(disc_e6[is_rel].sum())
-    n_ideal = min(int(rel.size), k)
-    idcg = int(disc_e6[:n_ideal].sum())
-    ndcg = dcg * 10 ** 6 // idcg if idcg else 0
+    idcg = int(disc_e6[:min(n_rel, k)].sum())
     first = int(np.flatnonzero(is_rel)[0]) + 1 if is_rel.any() else 0
-    mrr = 10 ** 6 // first if first else 0
-    return pa.table({
-        "n_relevant": pa.array([int(rel.size)], pa.int64()),
-        "first_rel_rank": pa.array([first], pa.int64()),
-        "mrr_e6": pa.array([mrr], pa.int64()),
-        "ndcg_e6": pa.array([ndcg], pa.int64()),
-    })
+    return {"n_relevant": n_rel, "n_retrieved": int(top.size),
+            "hits_at_k": int(is_rel.sum()), "first_rel_rank": first,
+            "mrr_e6": 10 ** 6 // first if first else 0,
+            "ndcg_e6": dcg * 10 ** 6 // idcg if idcg else 0}
 
 
 def search_random_score(eng: SearchEngine, terms: list[str],
@@ -2081,10 +1983,10 @@ def rank_eval(eng: SearchEngine, requests: list[tuple[str, list[str]]],
     """ES ``_rank_eval`` API: evaluate a whole SET of rated requests in
     one call — per request precision@k, recall@k, MRR and binary
     nDCG@k.  The rating rule is deterministic: a doc is relevant iff it
-    contains ALL the request's terms (the conjunctive upper bound,
-    computed as a df-bounded postings intersection — no corpus scan),
-    while the ranking under test is the disjunctive BM25 top-k.  ES
-    runs the same template: the `requests` array each carry `ratings`,
+    contains ALL the request's terms (the conjunctive upper bound, the
+    every-term mask of the request's postings — no corpus scan), while
+    the ranking under test is the disjunctive BM25 top-k.  ES runs the
+    same template: the `requests` array each carry `ratings`,
     the engine replays the query and folds the chosen metric.
 
     Exact integers everywhere: the rank discount ``floor(1e6 /
@@ -2097,41 +1999,17 @@ def rank_eval(eng: SearchEngine, requests: list[tuple[str, list[str]]],
                            "hits_at_k", "precision_e6", "recall_e6",
                            "mrr_e6", "ndcg_e6")}
     for name, terms in sorted(requests, key=lambda r: r[0]):
-        uniq = sorted(set(terms))
-        loaded = eng.load_terms(uniq)
-        rel = None
-        for t in uniq:
-            ids = codec.decode_posting(loaded[t][1]).doc_ids \
-                if t in loaded else np.empty(0, np.int64)
-            rel = ids if rel is None else rel[np.isin(rel, ids)]
-        rel = rel if rel is not None else np.empty(0, np.int64)
-        if eng.deleted.size:
-            rel = rel[~np.isin(rel, eng.deleted)]
-        top = np.asarray([d for d, _ in eng.search(terms, k, tie="e6")],
-                         dtype=np.int64)
-        is_rel = np.isin(top, rel)
-        n_hits = int(is_rel.sum())
-        disc_e6 = np.floor(10 ** 6 / np.log2(np.arange(1, top.size + 1) + 1)
-                           + 0.5).astype(np.int64)
-        dcg = int(disc_e6[is_rel].sum())
-        idcg = int(disc_e6[:min(int(rel.size), k)].sum())
-        first = int(np.flatnonzero(is_rel)[0]) + 1 if is_rel.any() else 0
+        j = _judge(eng, terms, k)
+        hits = j["hits_at_k"] * 10 ** 6
+        j["precision_e6"] = hits // j["n_retrieved"] if j["n_retrieved"] else 0
+        j["recall_e6"] = hits // j["n_relevant"] if j["n_relevant"] else 0
         out["query"].append(name)
-        out["n_relevant"].append(int(rel.size))
-        out["n_retrieved"].append(int(top.size))
-        out["hits_at_k"].append(n_hits)
-        out["precision_e6"].append(
-            n_hits * 10 ** 6 // top.size if top.size else 0)
-        out["recall_e6"].append(
-            n_hits * 10 ** 6 // int(rel.size) if rel.size else 0)
-        out["mrr_e6"].append(10 ** 6 // first if first else 0)
-        out["ndcg_e6"].append(dcg * 10 ** 6 // idcg if idcg else 0)
+        for c in list(out)[1:]:
+            out[c].append(j[c])
     assert len(set(names)) == len(names), "request names must be unique"
     return pa.table({
         "query": pa.array(out["query"], pa.string()),
-        **{c: pa.array(out[c], pa.int64())
-           for c in ("n_relevant", "n_retrieved", "hits_at_k",
-                     "precision_e6", "recall_e6", "mrr_e6", "ndcg_e6")},
+        **{c: pa.array(out[c], pa.int64()) for c in list(out)[1:]},
     })
 
 
@@ -2193,27 +2071,18 @@ def score_histogram(eng: SearchEngine, terms: list[str],
 def score_docs(eng: SearchEngine, terms: list[str],
                doc_ids: list[int]) -> dict[int, float]:
     """Exact BM25 scores for SPECIFIC documents (zero if no query term
-    matches): per-doc binary-search probes into the query terms'
-    postings, accumulated in the SAME sorted-unique-term order and with
-    the SAME ``codec.bm25_impact`` kernel as :meth:`SearchEngine.search`
-    — bit-identical to the score the doc would carry in the ranked
-    list.  Reads only the query terms' postings (shard-pruned)."""
-    uniq = sorted(set(terms))
-    loaded = eng.load_terms(uniq)
-    out = {int(d): 0.0 for d in doc_ids}
-    for t in uniq:
-        hit = loaded.get(t)
-        if hit is None:
-            continue
-        df, blob = hit
-        post = codec.decode_posting(blob)
-        idf_t = idf_fn(eng.N, df)
-        for d in out:
-            i = int(np.searchsorted(post.doc_ids, d))
-            if i < post.doc_ids.size and post.doc_ids[i] == d:
-                out[d] += float(idf_t * codec.bm25_impact(
-                    post.tfs[i:i + 1], post.dls[i:i + 1], eng.avgdl,
-                    eng.k1, eng.b)[0])
+    matches): the query terms' cached ``(ordinals, weights)`` summed in
+    the SAME sorted-unique-term order as :meth:`SearchEngine.search` —
+    bit-identical to the score the doc would carry in the ranked list,
+    tombstoned or not."""
+    score = np.zeros(eng.docs.size, dtype=np.float64)
+    for o, w in eng._term_parts(sorted(set(terms))):
+        score[o] += w
+    out = {}
+    for d in doc_ids:
+        i = int(np.searchsorted(eng.docs, d))
+        out[int(d)] = float(score[i]) \
+            if i < eng.docs.size and eng.docs[i] == d else 0.0
     return out
 
 

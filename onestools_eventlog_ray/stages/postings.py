@@ -140,6 +140,13 @@ class TermShards:
         return tbl.filter(pc.is_in(tbl["term"],
                                    value_set=pa.array(terms, pa.string())))
 
+    def close(self) -> None:
+        """Close every open file.  A later probe opens its file again,
+        so it sees a file replaced since the first open."""
+        for pf, *_ in self._open.values():
+            pf.close()
+        self._open.clear()
+
 
 def make_encode_runs(block_size: int):
     """Encoder for one build group's triples: encode every (term, salt)

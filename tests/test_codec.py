@@ -146,3 +146,20 @@ def test_encode_run_group_equals_one_encode_per_run(sizes, block_size, seed):
     assert col.to_pylist() == [
         codec.encode_posting(ids[a:a + n], tfs[a:a + n], dls[a:a + n], block_size)
         for a, n in zip(starts, sizes)]
+
+
+def test_decode_posting_rejects_a_moved_section_boundary():
+    """Gaps [0, 200] take 3 bytes and tfs [1, 1] take 2.  Moving the
+    gap/tf boundary one byte left keeps the payload length and the count
+    of whole values, so only the per-section end check catches it."""
+    blob = codec.encode_posting(np.array([5, 205]), np.array([1, 1]),
+                                np.array([3, 3]))
+    good = codec.decode_posting(blob)
+    assert good.doc_ids.tolist() == [5, 205] and good.tfs.tolist() == [1, 1]
+    bad = bytearray(blob)
+    hdr = np.frombuffer(bad, dtype=codec._BLOCK_DT, count=1,
+                        offset=codec._FIXED.size)
+    assert (int(hdr["gap_end"][0]), int(hdr["tf_end"][0])) == (3, 2)
+    hdr["gap_end"], hdr["tf_end"] = 2, 3
+    with pytest.raises(ValueError, match="does not hold its 2 values"):
+        codec.decode_posting(bytes(bad))

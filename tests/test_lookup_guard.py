@@ -1,0 +1,73 @@
+"""Structural guard of the engine's one lookup rule: a term's doc
+ordinals come from the weight cache, tf/dl from the one postings
+helper, and tombstones from the ``live`` mask.  The package AST is
+walked, so a second blob decode or a tombstone ``np.isin`` added
+anywhere fails here."""
+
+import ast
+import os
+
+import onestools_eventlog_ray
+from onestools_eventlog_ray.pipelines import dsl, esql
+
+_PKG = os.path.dirname(onestools_eventlog_ray.__file__)
+_DECODERS = {("functions/bm25.py", "term_weights"),
+             ("pipelines/query.py", "SearchEngine._term_postings")}
+_NO_TOMBSTONE_ISIN = ("pipelines/query.py", "pipelines/dsl.py",
+                      "pipelines/esql.py", "pipelines/multifield.py",
+                      "pipelines/lateinteraction.py")
+
+
+def _modules():
+    for d, _, files in os.walk(_PKG):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                path = os.path.join(d, f)
+                with open(path) as fh:
+                    yield os.path.relpath(path, _PKG), ast.parse(fh.read())
+
+
+def _scoped(tree):
+    """(node, qualified name of its enclosing def/class) for every node."""
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        yield node, scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        stack.extend((c, scope) for c in ast.iter_child_nodes(node))
+
+
+def _names(node) -> set[str]:
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_decode_posting_is_read_in_two_places_only():
+    users = set()
+    for path, tree in _modules():
+        for node, scope in _scoped(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "decode_posting" \
+                    or isinstance(node, ast.Name) and node.id == "decode_posting" \
+                    or isinstance(node, ast.alias) and node.name == "decode_posting":
+                users.add((path, scope))
+    assert users == _DECODERS
+
+
+def test_no_tombstone_isin_in_the_query_families():
+    found = []
+    for path, tree in _modules():
+        if path not in _NO_TOMBSTONE_ISIN:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "isin" \
+                    and any("deleted" in _names(a) for a in node.args):
+                found.append((path, node.lineno))
+    assert found == []
+
+
+def test_old_posting_id_helpers_are_gone():
+    assert not hasattr(dsl, "_posting_ids")
+    assert not hasattr(esql, "_match_posting_ids")

@@ -254,3 +254,49 @@ def test_write_shard_layout(tmp_path):
             assert not col.has_dictionary_page
             assert col.compression == "ZSTD"
             assert col.is_stats_set == (col.path_in_schema == "term")
+
+
+def _open_shard_files(root: str) -> int:
+    """This process's open file descriptors on ``root``'s shard files."""
+    shards = os.path.join(root, "shards") + os.sep
+    n = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            n += os.readlink(f"/proc/self/fd/{fd}").startswith(shards)
+        except OSError:                 # closed since the listing
+            pass
+    return n
+
+
+def test_close_releases_the_open_shard_files(tmp_path):
+    """An engine holds one open file per probed shard until ``close()``;
+    a probe after ``close()`` opens its shard again."""
+    from onestools_eventlog_ray.pipelines.incremental import \
+        GenerationalSearchEngine
+    rng = np.random.default_rng(11)
+    P = 3
+    terms = _words(rng, 60)
+    by_shard: dict[int, list[str]] = {}
+    for t in terms:
+        by_shard.setdefault(term_partition_one(t, P), []).append(t)
+    roots = [_index(str(tmp_path / g), P,
+                    {p: (_shard_table(by_shard.get(p, []), rng), "write_shard")
+                     for p in range(P)})
+             for g in ("gen-0000", "gen-0001")]
+    assert _open_shard_files(roots[0]) == 0
+    eng = SearchEngine(roots[0])
+    assert _open_shard_files(roots[0]) == 0
+    assert len(eng.load_terms(terms)) == len(terms)
+    assert _open_shard_files(roots[0]) == P
+    eng.close()
+    assert _open_shard_files(roots[0]) == 0
+    assert eng.load_terms(["zzz"]) == {}      # a miss probes one shard
+    assert _open_shard_files(roots[0]) == 1
+    eng.close()
+    assert _open_shard_files(roots[0]) == 0
+
+    gen = GenerationalSearchEngine(str(tmp_path))
+    assert gen.df(terms[0]) > 0             # one probe per generation
+    assert [_open_shard_files(r) for r in roots] == [1, 1]
+    gen.close()
+    assert [_open_shard_files(r) for r in roots] == [0, 0]
