@@ -1900,7 +1900,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def bm25_after_ilm_delete(sf_dir):
         """ILM retention sweep: delete_by_metadata(lang='de') tombstones
-        via a predicate-pushed docstore read (doc_id column only), then
+        the docs whose docstore row matches (``allowed_doc_ids``), then
         BM25 over survivors — stats stay global (soft-delete), so the
         oracle is filtered BM25."""
         from onestools_eventlog_ray.config import EngineConfig
@@ -3849,7 +3849,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 os.path.join(sf_dir, "documents.parquet"), index_dir,
                 spec=DOCUMENTS_SPEC, cfg=EngineConfig(num_partitions=16))
         eng = PhraseEngine(index_dir)
-        hits = search_phrase_prefix(eng, index_dir, ["batch"], "s")
+        hits = search_phrase_prefix(eng, ["batch"], "s")
         return pa.table({
             "doc_id": pa.array([d for d, _ in hits], pa.int64()),
             "n_matches": pa.array([n for _, n in hits], pa.int64()),

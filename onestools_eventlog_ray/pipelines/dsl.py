@@ -251,10 +251,11 @@ def simple_query_string(eng: SearchEngine, query: str, k: int = 10,
                         max_expansions: int = 50) -> pa.Table:
     """ES ``simple_query_string`` executed against this engine:
     parse the mini-language, expand prefix clauses against the term
-    dictionary (``expand_prefix_terms`` — range-filtered read of the
-    ``term`` column, posting blobs pruned), assemble the equivalent
-    ``bool`` node and run it through :func:`es_search` (ONE TAAT pass;
-    must/must_not gating df-bounded).  -> (rank, doc_id, score_e6).
+    dictionary (``expand_prefix_terms`` — a read of the ``term`` column
+    of the engine's open shards, posting blobs pruned), assemble the
+    equivalent ``bool`` node and run it through :func:`es_search` (ONE
+    TAAT pass; must/must_not gating df-bounded).
+    -> (rank, doc_id, score_e6).
 
     Prefix clauses use the scoring_boolean rewrite: every expansion
     contributes its own BM25 weight x the clause boost, so the SQL
@@ -270,7 +271,7 @@ def simple_query_string(eng: SearchEngine, query: str, k: int = 10,
                                       "must_not": []}
     for cl in parse_simple_query_string(query, default_operator):
         terms = ([cl["text"]] if not cl["prefix"]
-                 else expand_prefix_terms(eng.index_dir, cl["text"],
+                 else expand_prefix_terms(eng, cl["text"],
                                           max_expansions))
         if not terms and cl["op"] == "must":
             # a required prefix that expands to nothing matches nothing

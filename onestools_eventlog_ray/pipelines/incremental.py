@@ -396,14 +396,15 @@ def reindex(src_index: str, out_dir: str, where: dict | None = None,
             cfg: EngineConfig = EngineConfig()) -> dict:
     """ES ``_reindex`` (optionally with a query): build a NEW index from
     a source index's docstore, keeping only documents that match the
-    metadata predicate.  ``where`` uses the :meth:`SearchEngine.
-    search_filtered` convention — scalar = equality, ``(lo, hi)`` tuple
-    = inclusive range — and is pushed down to the parquet read as a
-    ``pyarrow.dataset`` filter expression (nothing non-matching leaves
-    storage); source tombstones are honored via the same pushdown.
+    metadata predicate.  ``where`` uses the ``search_filtered``
+    convention — scalar = equality, ``(lo, hi)`` tuple = inclusive range
+    — and its :func:`~onestools_eventlog_ray.pipelines.query.where_expr`
+    predicate is pushed down to the parquet read (nothing non-matching
+    leaves storage); source tombstones are honored via the same
+    pushdown.
     The new index carries its OWN stats (N/avgdl/df of the subset),
     exactly like a real ES reindex-into-smaller-index."""
-    import pyarrow.dataset as pads
+    from onestools_eventlog_ray.pipelines.query import where_expr
     from onestools_eventlog_ray.state import checkpoint as ckpt
     from onestools_eventlog_ray.state.tombstones import load_tombstones
     import glob
@@ -414,19 +415,15 @@ def reindex(src_index: str, out_dir: str, where: dict | None = None,
     meta_cols = tuple(src_stats.get("spec", {}).get("meta_cols", ()))
     spec = CorpusSpec(content_col="content", id_col="doc_id",
                       key_cols=("doc_id",), meta_cols=meta_cols)
-    expr = None
-    sig_parts = []
-    for c, v in sorted((where or {}).items()):
+    where = where or {}
+    for c in sorted(where):
         if c != "doc_id" and c not in meta_cols:
             raise KeyError(f"predicate column {c!r} not in docstore "
                            f"meta columns {meta_cols}")
-        if isinstance(v, tuple):
-            e = (pads.field(c) >= v[0]) & (pads.field(c) <= v[1])
-            sig_parts.append(f"{c}in[{v[0]},{v[1]}]")
-        else:
-            e = pads.field(c) == v
-            sig_parts.append(f"{c}={v}")
-        expr = e if expr is None else expr & e
+    # the resume fingerprint's text of the predicate (Expressions have
+    # no canonical form): "<c>=<v>" or "<c>in[<lo>,<hi>]", in column order
+    sig = ";".join(f"{c}in[{v[0]},{v[1]}]" if isinstance(v, tuple)
+                   else f"{c}={v}" for c, v in sorted(where.items()))
     part_files = sorted(glob.glob(os.path.join(src_index, "docstore",
                                                "*.parquet")))
     if not part_files:
@@ -434,8 +431,8 @@ def reindex(src_index: str, out_dir: str, where: dict | None = None,
     deleted = load_tombstones(src_index)
     report = build_index(part_files, out_dir, spec=spec, cfg=cfg,
                          exclude_doc_ids=deleted if deleted.size else None,
-                         row_filter=expr,
-                         row_filter_sig=";".join(sig_parts) or "all")
+                         row_filter=where_expr(where) if where else None,
+                         row_filter_sig=sig or "all")
     report["src_index"] = src_index
     return report
 

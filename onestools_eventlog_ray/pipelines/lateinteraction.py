@@ -201,7 +201,7 @@ def rerank_by_maxsim(eng, terms: list[str], query_terms: list[str],
 
     Stage 1 is the engine's bounded e6 top-``window`` (O(window) hits
     on the driver); stage 2 fetches ONLY those docs from the docstore
-    (filename-range-pruned parquet reads, the stored-fields lookup)
+    (``fetch_docs``, the stored-fields lookup)
     and scores them with :func:`MaxSimScorer`'s kernel.  Final order:
     (maxsim_e6 desc, bm25 window rank asc as the deterministic tie —
     rerankers keep first-stage order among equals).

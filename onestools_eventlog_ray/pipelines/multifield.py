@@ -136,7 +136,7 @@ def search_combined_fields(eng: MultiFieldEngine, terms: list[str],
     Per-term postings come from the same df-bounded shard loads as
     every other query; the per-field doc LENGTH for candidate docs
     (needed even for fields where the term is absent) comes from each
-    field's range-pruned docstore read — O(candidates), never a corpus
+    field's docstore fetch — O(candidates), never a corpus
     scan (Lucene stores combined norms at index time; recomputing from
     stored per-field norms is the equivalent read).  Field fold order
     is sorted-field, term fold order sorted-term — deterministic for

@@ -271,7 +271,7 @@ def score_phrase_queries(index_dir: str, queries, batch_size: int = 8):
                                fn_kwargs=dict(index_dir=index_dir))
 
 
-def search_phrase_prefix(eng: PhraseEngine, index_dir: str,
+def search_phrase_prefix(eng: PhraseEngine,
                          phrase_terms: list[str], prefix: str,
                          max_expansions: int = 50) -> list[tuple[int, int]]:
     """ES ``match_phrase_prefix``: the exact token sequence
@@ -283,15 +283,13 @@ def search_phrase_prefix(eng: PhraseEngine, index_dir: str,
     expansions' (doc, pos) keys (np.unique over the concatenation —
     overlapping expansions can't double-count a position).  The
     expansions are the sidecar's sorted terms with ``prefix``, capped at
-    ``max_expansions`` (ES match_phrase_prefix semantics), read by the
-    same range-filtered dictionary reader as the main index's
-    :func:`~onestools_eventlog_ray.pipelines.query.expand_prefix_terms`."""
-    from onestools_eventlog_ray.pipelines.query import _expand_prefix
+    ``max_expansions`` (ES match_phrase_prefix semantics), read by
+    :func:`~onestools_eventlog_ray.pipelines.query.expand_prefix_terms`
+    through the engine's own open sidecar files."""
+    from onestools_eventlog_ray.pipelines.query import expand_prefix_terms
     if not phrase_terms:
         return []
-    expansions = _expand_prefix(
-        os.path.join(index_dir, "positions", "pos-*.parquet"), prefix,
-        max_expansions)
+    expansions = expand_prefix_terms(eng, prefix, max_expansions)
     if not expansions:
         return []
     loaded = eng._load_flat(list(phrase_terms) + expansions)

@@ -22,12 +22,15 @@ pool.
 
 from __future__ import annotations
 
+import functools
+import operator
 import os
 from collections import OrderedDict
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.dataset as pads
 import pyarrow.parquet as pq
 
 from onestools_eventlog_ray.functions import codec
@@ -42,30 +45,31 @@ from onestools_eventlog_ray.state import checkpoint as ckpt
 _TERM_CACHE_MAX = 4096
 
 
-def _part_range(path: str) -> tuple[int, int] | None:
-    """doc_id (min, max) embedded in a docstore part filename
-    (``part-<nrows>-<min16x>-<max16x>-<acc16x>.parquet``), else None."""
-    parts = os.path.basename(path).rsplit(".", 1)[0].split("-")
-    if len(parts) != 5:
-        return None
-    try:
-        return int(parts[2], 16), int(parts[3], 16)
-    except ValueError:
-        return None
+def where_expr(where: dict) -> pads.Expression:
+    """The predicate of a ``where`` dict, the one builder of the
+    metadata-filter convention: ``{column: scalar}`` is equality,
+    ``{column: (lo, hi)}`` an inclusive range, and clauses are ANDed in
+    column order (an empty dict is true)."""
+    exprs = [(pads.field(c) >= v[0]) & (pads.field(c) <= v[1])
+             if isinstance(v, tuple) else pads.field(c) == v
+             for c, v in sorted(where.items())]
+    return functools.reduce(operator.and_, exprs) if exprs \
+        else pads.scalar(True)
 
 
 def _verify_refill(eng, ids: np.ndarray, scores: np.ndarray, where: dict,
                    k: int, tie: str = "float") -> list[tuple[int, float]]:
     """The top ``k`` of the match arrays ``(ids, scores)`` whose
-    docstore row satisfies ``where`` (scalar = equality, ``(lo, hi)``
-    tuple = inclusive range), in ``pick_topk(tie)`` order.
+    docstore row satisfies ``where`` (:func:`where_expr`), in
+    ``pick_topk(tie)`` order.
 
     Candidates are verified in descending order, one chunk at a time:
     each chunk is the ``pick_topk`` top of the candidates not yet
     verified, its size starts at max(4k, 64) and grows 4x per round (a
     selective predicate needs fewer rounds), and each verify is one
-    range-pruned ``fetch_docs`` of doc_id + the predicate columns."""
+    ``fetch_docs`` of doc_id + the predicate columns."""
     pick = pick_topk(tie)
+    expr = where_expr(where)
     out: list[tuple[int, float]] = []
     chunk = max(4 * k, 64)
     while ids.size and len(out) < k:
@@ -77,23 +81,87 @@ def _verify_refill(eng, ids: np.ndarray, scores: np.ndarray, where: dict,
         chunk *= 4
         tbl = eng.fetch_docs(part_ids, columns=["doc_id"] + list(where))
         if tbl.num_rows:
-            for c, v in where.items():
-                tbl = tbl.filter(
-                    pc.and_(pc.greater_equal(tbl[c], v[0]),
-                            pc.less_equal(tbl[c], v[1]))
-                    if isinstance(v, tuple) else pc.equal(tbl[c], v))
+            tbl = tbl.filter(expr)
         ok = set(tbl["doc_id"].to_pylist())
         out.extend(h for h in zip(part_ids, part_scores) if h[0] in ok)
     return out[:k]
 
 
-def load_doc_ids(files: list[str]) -> np.ndarray:
-    """The sorted unique ``doc_id`` column of parquet ``files``: the
-    dense ordinal space the TAAT accumulator indexes."""
-    if not files:
-        return np.empty(0, dtype=np.int64)
-    ids = pq.read_table(files, columns=["doc_id"])["doc_id"]
-    return np.unique(ids.to_numpy().astype(np.int64))
+class DocStore:
+    """The docstore parts of one index, each opened once as a
+    ``pq.ParquetFile``: the stored-fields reader of
+    :class:`SearchEngine`, like the ES node's open segments
+    (``ElasticSearchStorage.cs:245-256``).
+
+    At open each part's ``doc_id`` column is read through its handle.
+    ``docs`` is their sorted distinct doc_ids (the engine's ordinals);
+    each ordinal keeps its rows' positions in the parts concatenated in
+    name order, which the row-group row offsets map to (part, row group,
+    row).  A doc_id held by two parts keeps both rows, in part order.
+
+    The handles are a snapshot: a part deleted or replaced on disk after
+    open is still read as it was opened.  After :meth:`close` a read
+    raises (pyarrow's ``ArrowInvalid``, a ``ValueError``) rather than
+    reopen parts that may have changed; open a new engine instead."""
+
+    def __init__(self, index_dir: str):
+        import glob
+        self._files = [pq.ParquetFile(f) for f in sorted(glob.glob(
+            os.path.join(index_dir, "docstore", "*.parquet")))]
+        ids = np.concatenate([np.empty(0, np.int64)] + [
+            pf.read(columns=["doc_id"], use_threads=False)["doc_id"]
+            .to_numpy().astype(np.int64) for pf in self._files])
+        self._groups = [(pf, g) for pf in self._files
+                        for g in range(pf.metadata.num_row_groups)]
+        # first row of each row group, and the total, in row positions
+        self._group_start = np.cumsum([0] + [
+            pf.metadata.row_group(g).num_rows for pf, g in self._groups])
+        # row positions by (doc_id, position); ordinal o's rows are
+        # _rows[_start[o]:_start[o + 1]]
+        self._rows = np.argsort(ids, kind="stable")
+        ids = ids[self._rows]
+        first = np.ones(ids.size, dtype=bool)
+        first[1:] = ids[1:] != ids[:-1]
+        self._start = np.append(np.flatnonzero(first), ids.size)
+        self.docs = ids[first]
+
+    def take(self, ords: np.ndarray, columns: list[str] | None = None
+             ) -> pa.Table:
+        """The rows of the docs at the distinct ordinals ``ords``, in
+        ``ords`` order: one ``read_row_group`` of ``columns`` (all when
+        None) and one ``take`` per row group that holds any of them."""
+        lo = self._start[ords]
+        n = self._start[ords + 1] - lo
+        # lo[i], lo[i] + 1, ..., lo[i] + n[i] - 1 for each i, in order
+        rows = self._rows[np.arange(n.sum()) + np.repeat(lo - np.cumsum(n)
+                                                         + n, n)]
+        # read in row order, one group at a time; `back` restores ords order
+        order = np.argsort(rows, kind="stable")
+        rows = rows[order]
+        g = np.searchsorted(self._group_start, rows, side="right") - 1
+        cut = np.flatnonzero(np.diff(g, prepend=-1))
+        tbls = []
+        for s, e in zip(cut, np.append(cut[1:], rows.size)):
+            pf, i = self._groups[g[s]]
+            tbls.append(pf.read_row_group(i, columns=columns,
+                                          use_threads=False)
+                        .take(rows[s:e] - self._group_start[g[s]]))
+        back = np.empty_like(order)
+        back[order] = np.arange(order.size)
+        return pa.concat_tables(tbls).take(back)
+
+    def doc_ids_where(self, where: dict) -> np.ndarray:
+        """doc_id of every row that satisfies ``where``
+        (:func:`where_expr`), reading doc_id + the predicate columns of
+        each part."""
+        cols, expr = list(dict.fromkeys(["doc_id", *where])), where_expr(where)
+        return np.concatenate([np.empty(0, np.int64)] + [
+            pf.read(columns=cols, use_threads=False).filter(expr)["doc_id"]
+            .to_numpy().astype(np.int64) for pf in self._files])
+
+    def close(self) -> None:
+        for pf in self._files:
+            pf.close()
 
 
 class SearchEngine:
@@ -101,9 +169,10 @@ class SearchEngine:
     caches — the stateful-scorer analog of the reference's sticky ES
     node state (``ElasticSearchStorage.cs:245-256``).
 
-    At open it reads the docstore's sorted doc_id column (``docs``) and
-    builds the ``live`` mask from its tombstones.  ``_cache`` holds raw
-    ``(df, blob)`` per term, None for a term with no posting;
+    At open it opens the docstore (:class:`DocStore`), whose sorted
+    distinct doc_ids are ``docs``, and builds the ``live`` mask from its
+    tombstones.  ``_cache`` holds raw ``(df, blob)`` per term, None for
+    a term with no posting;
     ``_w_cache`` holds each hot term's ``(doc ordinals, BM25 weights)``,
     an ordinal being the doc's position in ``docs``, so a warm query is
     one dense accumulate and a top-k cut.
@@ -118,17 +187,19 @@ class SearchEngine:
       from :meth:`_term_postings`, the only decode besides the cache
       fill;
     - tombstones are the ``live`` mask; doc_ids from outside the
-      postings (docstore reads, requested ids) pass through
-      :meth:`_live_ids`.
+      postings (requested ids, docstore reads) pass through it too
+      (:meth:`fetch_docs`, :meth:`allowed_doc_ids`).
 
     Results map back to doc_ids through ``docs[ordinals]`` at the edge.
 
-    Snapshot rule: each shard is opened once, at its first probe, and
-    read from that open file from then on, until :meth:`close`.  A shard
-    replaced on disk under an open engine (a rebuild's atomic rename) is
-    not seen; the engine answers from the files it opened, and cached
-    terms from its caches.  Open a new engine to see a rewritten
-    index."""
+    Snapshot rule: every read of the engine goes through a file it
+    opened, and reads that file until :meth:`close`.  The docstore parts
+    are opened at engine open (stored fields, metadata predicates), each
+    term shard at its first probe (term loads, prefix expansion).  A file
+    replaced or deleted on disk under an open engine (a rebuild's atomic
+    rename or its wipe of ``docstore/``) is not seen; the engine answers
+    from the files it opened, and cached terms from its caches.  Open a
+    new engine to see a rewritten index."""
 
     def __init__(self, index_dir: str):
         self.index_dir = index_dir
@@ -139,9 +210,8 @@ class SearchEngine:
         ckpt.check_layout(stats, index_dir)
         # the docstore's sorted doc_ids: a posting's doc ordinal is its
         # position here
-        import glob
-        self.docs = load_doc_ids(sorted(glob.glob(
-            os.path.join(index_dir, "docstore", "*.parquet"))))
+        self._docstore = DocStore(index_dir)
+        self.docs = self._docstore.docs
         # soft-deleted doc_ids (sorted): masked from every result path;
         # stats stay those of the built index (ES soft-delete semantics)
         from onestools_eventlog_ray.state.tombstones import load_tombstones
@@ -175,8 +245,11 @@ class SearchEngine:
         self.live = ~doc_mask(self.docs, ids)
 
     def close(self) -> None:
-        """Close the open shard files (a later probe reopens them)."""
+        """Close the open shard files (a later probe reopens them) and
+        the docstore parts (a later docstore read raises
+        ``ValueError``)."""
         self._shards.close()
+        self._docstore.close()
 
     # ---- posting access -------------------------------------------------
 
@@ -292,60 +365,33 @@ class SearchEngine:
 
     # ---- docstore fetch -------------------------------------------------
 
-    def fetch_docs(self, doc_ids: list[int],
-                   columns: list[str] | None = None) -> pa.Table:
-        """Fetch docstore rows for result doc_ids (parquet row filter over
-        the docstore part files — the stored-fields lookup ES does for
-        search hits).  Rows come back in the order requested.
-
-        Part files are PRUNED by the doc_id min/max range embedded in
-        their filenames (``part-<n>-<min>-<max>-<acc>.parquet``) before
-        any read — for id-ordered corpora a k-doc fetch touches O(k)
-        parts, not the whole docstore (round-1 judge item #7).  Files
-        from the legacy naming (no range) are never pruned."""
-        import glob
-        wanted = self._live_ids(list(doc_ids))
-        files = sorted(glob.glob(os.path.join(self.index_dir,
-                                              "docstore", "*.parquet")))
-        if not files or not wanted.size:
+    def fetch_docs(self, doc_ids, columns: list[str] | None = None
+                   ) -> pa.Table:
+        """Docstore rows of ``doc_ids`` in the order requested — the
+        stored-fields lookup ES does for search hits.  Ids that are not
+        live docs of the index are dropped, and a repeated id keeps its
+        first place.  Reads ``columns`` (all when None) of only the row
+        groups that hold a requested doc, through the engine's open
+        :class:`DocStore`; nothing to return gives a ``doc_id``-only
+        empty table."""
+        req = np.fromiter(doc_ids, dtype=np.int64)
+        ords = np.searchsorted(self.docs, req)
+        ok = ords < self.docs.size
+        ok[ok] = (self.docs[ords[ok]] == req[ok]) & self.live[ords[ok]]
+        ords = ords[ok]
+        ords = ords[np.sort(np.unique(ords, return_index=True)[1])]
+        if not ords.size:
             return pa.table({"doc_id": pa.array([], pa.int64())})
-        lo, hi = wanted[0], wanted[-1]
-        pruned = []
-        for f in files:
-            rng = _part_range(f)
-            if rng is None:
-                pruned.append(f)
-                continue
-            fmin, fmax = rng
-            if fmax < lo or fmin > hi:
-                continue
-            # any wanted id inside [fmin, fmax]?
-            i = int(np.searchsorted(wanted, fmin))
-            if i < wanted.size and wanted[i] <= fmax:
-                pruned.append(f)
-        if not pruned:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
-        tbl = pq.read_table(pruned, columns=columns,
-                            filters=[("doc_id", "in", wanted.tolist())])
-        # vectorized reorder to the requested order
-        req = pa.array(list(doc_ids), pa.int64())
-        pos = pc.index_in(tbl["doc_id"], value_set=req)
-        idx = np.argsort(pos.to_numpy(zero_copy_only=False), kind="stable")
-        return tbl.take(pa.array(idx))
+        return self._docstore.take(ords, columns)
 
     def allowed_doc_ids(self, where: dict) -> np.ndarray:
-        """doc_ids whose docstore row matches all ``{column: value}``
-        equality predicates — the metadata-filter side of a filtered
-        search.  Columnar read: only doc_id + the predicate columns leave
-        the docstore (parquet row-group stats prune within files)."""
-        import glob
-        files = sorted(glob.glob(os.path.join(self.index_dir,
-                                              "docstore", "*.parquet")))
-        if not files:
-            return np.empty(0, dtype=np.int64)
-        tbl = pq.read_table(files, columns=["doc_id"],
-                            filters=[(c, "==", v) for c, v in where.items()])
-        return self._live_ids(tbl["doc_id"].to_numpy(zero_copy_only=False))
+        """Live doc_ids, ascending, whose docstore row satisfies
+        ``where`` (:func:`where_expr`: scalar = equality, ``(lo, hi)`` =
+        inclusive range) — the metadata-filter side of a filtered search.
+        Only doc_id and the predicate columns are read, from the
+        engine's open docstore parts."""
+        return self.docs[doc_mask(self.docs, self._docstore.doc_ids_where(
+            where)) & self.live]
 
     def search_filtered(self, terms: list[str], where: dict,
                         k: int = 10, tie: str = "float"
@@ -420,12 +466,6 @@ class SearchEngine:
                       post.tfs, post.dls)
         return out
 
-    def _live_ids(self, doc_ids) -> np.ndarray:
-        """The distinct ``doc_ids`` that are live docs of this index,
-        ascending: the tombstone mask of ids that come from outside the
-        postings."""
-        return self.docs[doc_mask(self.docs, doc_ids) & self.live]
-
     def _taat_arrays(self, terms: list[str],
                      allowed: np.ndarray | None = None,
                      excluded: np.ndarray | None = None
@@ -475,13 +515,13 @@ class SearchEngine:
         IDF in ES either.
 
         Expansions come from the query-time dictionary read
-        (:func:`expand_prefix_terms`, range filter pushed to parquet);
+        (:func:`expand_prefix_terms`, through the engine's open shards);
         expansion postings load via the same shard-pruned term reads
         as every query.  Either clause may be empty (prefix-only or
         no-expansion searches degrade gracefully)."""
         ords, base = accumulate(self._term_parts(sorted(set(terms))),
                                 self.live)
-        match = self._hits(expand_prefix_terms(self.index_dir, prefix,
+        match = self._hits(expand_prefix_terms(self, prefix,
                                                max_expansions)) > 0
         scores = match.astype(np.float64)
         scores[ords] += base
@@ -524,26 +564,32 @@ class SearchEngine:
         idx = pick_topk(tie)(scores, ids, k)
         return [(int(ids[i]), float(scores[i])) for i in idx]
 
+    def _field_scored(self, terms: list[str], field: str, k: int,
+                      tie: str, combine) -> list[tuple[int, float]]:
+        """Top ``k`` of ``combine(bm25, v)`` over the docs matching
+        ``terms``, ``v`` being each match's docstore ``field`` as
+        float64: one :meth:`fetch_docs` of the MATCHING docs only, never
+        a corpus scan."""
+        ids, base = self._taat_arrays(terms)
+        if not ids.size:
+            return []
+        v = self.fetch_docs(ids, ["doc_id", field])[field] \
+            .cast(pa.float64()).to_numpy(zero_copy_only=False)
+        scores = combine(base, v)
+        idx = pick_topk(tie)(scores, ids, k)
+        return [(int(ids[i]), float(scores[i])) for i in idx]
+
     def search_function_score(self, terms: list[str],
                               field: str = "n_chars",
                               k: int = 10, tie: str = "float"
                               ) -> list[tuple[int, float]]:
         """ES ``function_score`` with ``field_value_factor`` (modifier
-        ``none``): score = BM25 x doc[``field``].  The factor column
-        comes from the docstore via the range-pruned stored-fields read
-        (:meth:`fetch_docs`, requested order preserved), only for the
-        MATCHING docs — never a corpus scan.  int64 field x float64
-        score is one IEEE multiply, deterministic on both engine and
-        oracle sides."""
-        ids_np, base = self._taat_arrays(terms)
-        if not ids_np.size:
-            return []
-        vals_tbl = self.fetch_docs(ids_np.tolist(), ["doc_id", field])
-        vals = vals_tbl[field].cast(pa.float64()) \
-            .to_numpy(zero_copy_only=False)
-        scores = base * vals
-        idx = pick_topk(tie)(scores, ids_np, k)
-        return [(int(ids_np[i]), float(scores[i])) for i in idx]
+        ``none``): score = BM25 x doc[``field``], the factor read for
+        the matching docs only (:meth:`_field_scored`).  int64 field x
+        float64 score is one IEEE multiply, deterministic on both engine
+        and oracle sides."""
+        return self._field_scored(terms, field, k, tie,
+                                  lambda s, v: s * v)
 
     def search_rank_feature(self, terms: list[str],
                             field: str = "n_chars",
@@ -553,19 +599,13 @@ class SearchEngine:
         """ES ``rank_feature`` query with the ``saturation`` function in
         a bool ``should`` next to the text query: score = BM25 +
         boost * v / (v + pivot) where v = doc[``field``].  Like
-        :meth:`search_function_score`, the feature value is fetched only
-        for MATCHING docs via the range-pruned stored-fields read — the
-        feature side is O(matches), never a corpus scan (ES reads it
-        from the _feature pseudo-postings the same way).  saturation is
-        one IEEE divide + add, deterministic for the oracle."""
-        ids_np, base = self._taat_arrays(terms)
-        if not ids_np.size:
-            return []
-        vals_tbl = self.fetch_docs(ids_np.tolist(), ["doc_id", field])
-        v = vals_tbl[field].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        scores = base + boost * (v / (v + pivot))
-        idx = pick_topk(tie)(scores, ids_np, k)
-        return [(int(ids_np[i]), float(scores[i])) for i in idx]
+        :meth:`search_function_score`, the feature value is read only
+        for MATCHING docs — the feature side is O(matches), never a
+        corpus scan (ES reads it from the _feature pseudo-postings the
+        same way).  saturation is one IEEE divide + add, deterministic
+        for the oracle."""
+        return self._field_scored(terms, field, k, tie,
+                                  lambda s, v: s + boost * (v / (v + pivot)))
 
     def search_distance_feature(self, terms: list[str],
                                 field: str = "n_chars",
@@ -577,18 +617,12 @@ class SearchEngine:
         the text query: score = BM25 + boost * pivot / (pivot +
         |v - origin|) where v = doc[``field``] — boosts docs whose
         numeric/date field sits NEAR an origin (recency boost is the
-        canonical use).  Feature values are fetched only for MATCHING
-        docs via the range-pruned stored-fields read, O(matches) like
-        :meth:`search_rank_feature`; the decay is one abs + divide,
-        deterministic for the oracle."""
-        ids_np, base = self._taat_arrays(terms)
-        if not ids_np.size:
-            return []
-        vals_tbl = self.fetch_docs(ids_np.tolist(), ["doc_id", field])
-        v = vals_tbl[field].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        scores = base + boost * (pivot / (pivot + np.abs(v - origin)))
-        idx = pick_topk(tie)(scores, ids_np, k)
-        return [(int(ids_np[i]), float(scores[i])) for i in idx]
+        canonical use).  Feature values are read only for MATCHING
+        docs, O(matches) like :meth:`search_rank_feature`; the decay is
+        one abs + divide, deterministic for the oracle."""
+        return self._field_scored(
+            terms, field, k, tie,
+            lambda s, v: s + boost * (pivot / (pivot + np.abs(v - origin))))
 
     def search_gauss_decay(self, terms: list[str],
                            field: str = "n_chars",
@@ -601,19 +635,13 @@ class SearchEngine:
         exp(ln(decay) · (|v − origin| / scale)²) — at distance
         ``scale`` from ``origin`` the text score is multiplied by
         exactly ``decay`` (ES's gauss definition with offset 0).
-        Feature values are fetched only for MATCHING docs via the
-        range-pruned stored-fields read, O(matches); the decay is
-        composed as exp(ln(decay)·x·x) on BOTH sides so the SQL oracle
-        evaluates the identical float expression."""
-        ids_np, base = self._taat_arrays(terms)
-        if not ids_np.size:
-            return []
-        vals_tbl = self.fetch_docs(ids_np.tolist(), ["doc_id", field])
-        v = vals_tbl[field].cast(pa.float64()).to_numpy(zero_copy_only=False)
-        x = np.abs(v - origin) / scale
-        scores = base * np.exp(np.log(decay) * x * x)
-        idx = pick_topk(tie)(scores, ids_np, k)
-        return [(int(ids_np[i]), float(scores[i])) for i in idx]
+        Feature values are read only for MATCHING docs, O(matches); the
+        decay is composed as exp(ln(decay)·x·x) on BOTH sides so the SQL
+        oracle evaluates the identical float expression."""
+        def gauss(s, v):
+            x = np.abs(v - origin) / scale
+            return s * np.exp(np.log(decay) * x * x)
+        return self._field_scored(terms, field, k, tie, gauss)
 
     def search_lm(self, terms: list[str], k: int = 10,
                   similarity: str = "lm_dirichlet",
@@ -862,7 +890,6 @@ def prefix_term_stats(index_dir: str, prefix: str):
     the filter makes each visit a dictionary-page skim, and the scan is
     one streaming Dataset (at 10^5 shards this is a normal fan-out
     read, not a driver loop)."""
-    import pyarrow.dataset as pads
     import ray.data
     if not prefix:
         raise ValueError("prefix must be non-empty")
@@ -1116,9 +1143,9 @@ def search_collapse(eng: SearchEngine, terms: list[str], group_col: str,
                     per_group: int = 2) -> pa.Table:
     """ES field collapsing: the top ``per_group`` hits for EVERY value
     of a doc-metadata field, ranked inside each group on the canonical
-    (score_e6 desc, doc_id asc) order.  Group values come from chunked
-    range-pruned docstore reads of (doc_id, group_col) for the matched
-    docs only — the candidate set is df-bounded, never the corpus.
+    (score_e6 desc, doc_id asc) order.  Group values come from one
+    ``fetch_docs`` of (doc_id, group_col) for the matched docs only —
+    the candidate set is df-bounded, never the corpus.
     -> (group, rank_in_group, doc_id, score_e6) by (group, rank)."""
     ids, scores = eng._taat_arrays(terms)
     if not ids.size:
@@ -1129,31 +1156,21 @@ def search_collapse(eng: SearchEngine, terms: list[str], group_col: str,
     e6 = np.floor(scores * 1_000_000 + 0.5).astype(np.int64)
     order = np.lexsort((ids, -e6))
     ids, e6 = ids[order], e6[order]
-    groups = np.empty(ids.size, dtype=object)
-    for c0 in range(0, ids.size, 65536):
-        chunk = ids[c0:c0 + 65536]
-        tbl = eng.fetch_docs(chunk.tolist(), columns=["doc_id", group_col])
-        groups[c0:c0 + chunk.size] = tbl[group_col].to_numpy(
-            zero_copy_only=False)
-    # stable rank-order scan: position within group = running count
-    out_g, out_r, out_d, out_s = [], [], [], []
-    seen: dict = {}
-    for i in range(ids.size):
-        g = groups[i]
-        n = seen.get(g, 0) + 1
-        seen[g] = n
-        if n <= per_group:
-            out_g.append(g)
-            out_r.append(n)
-            out_d.append(int(ids[i]))
-            out_s.append(int(e6[i]))
-    order2 = sorted(range(len(out_g)), key=lambda i: (out_g[i], out_r[i]))
-    return pa.table({
-        group_col: pa.array([out_g[i] for i in order2], pa.string()),
-        "rank_in_group": pa.array([out_r[i] for i in order2], pa.int64()),
-        "doc_id": pa.array([out_d[i] for i in order2], pa.int64()),
-        "score_e6": pa.array([out_s[i] for i in order2], pa.int64()),
-    })
+    groups = eng.fetch_docs(ids, columns=["doc_id", group_col])[
+        group_col].to_numpy(zero_copy_only=False)
+    # a stable sort by group keeps rank order inside each group; the
+    # rank in group is the distance from the group's first hit
+    by = np.argsort(groups, kind="stable")
+    pos = np.arange(by.size)
+    first = np.ones(by.size, dtype=bool)
+    first[1:] = groups[by][1:] != groups[by][:-1]
+    rank = pos - np.maximum.accumulate(np.where(first, pos, 0)) + 1
+    keep = rank <= per_group
+    by = by[keep]
+    return pa.table({group_col: pa.array(groups[by], pa.string()),
+                     "rank_in_group": pa.array(rank[keep], pa.int64()),
+                     "doc_id": pa.array(ids[by], pa.int64()),
+                     "score_e6": pa.array(e6[by], pa.int64())})
 
 
 def regexp_term_stats(index_dir: str, pattern: str):
@@ -1193,35 +1210,24 @@ def wildcard_term_stats(index_dir: str, pattern: str):
     return regexp_term_stats(index_dir, "^" + "".join(parts) + "$")
 
 
-def expand_prefix_terms(index_dir: str, prefix: str,
+def expand_prefix_terms(eng, prefix: str,
                         max_expansions: int = 50) -> list[str]:
-    """Dictionary terms of the MAIN index starting with ``prefix``
-    (sorted, capped at ``max_expansions``) — the multi-term rewrite used
-    by query-time prefix clauses (``simple_query_string`` ``foo*``,
-    :meth:`SearchEngine.search_bool_prefix`).  For a dictionary too
-    large to skim per query, :func:`prefix_term_stats` is the
-    distributed variant of the same scan."""
-    return _expand_prefix(os.path.join(index_dir, "shards", "part-*.parquet"),
-                          prefix, max_expansions)
-
-
-def _expand_prefix(pattern: str, prefix: str,
-                   max_expansions: int) -> list[str]:
-    """Sorted distinct ``term`` values starting with ``prefix`` over the
-    parquet files matching glob ``pattern``, capped at
-    ``max_expansions``: a driver-local range-filtered read of each
-    file's ``term`` column, where row-group term statistics prune the
-    groups outside the range and the column projection the payload."""
-    import glob
+    """Distinct terms starting with ``prefix`` (sorted, capped at
+    ``max_expansions``) of an engine's term files — the main index's
+    shards (:class:`SearchEngine`) or the positions sidecar
+    (``PhraseEngine``): the multi-term rewrite of query-time prefix
+    clauses.  Reads, through the engine's ``TermShards``, the ``term``
+    column of the row groups whose resident term range overlaps
+    ``[prefix, prefix⁺)``; :func:`prefix_term_stats` is the
+    distributed scan of the same range."""
     if not prefix:
         return []
     upper = prefix[:-1] + chr(ord(prefix[-1]) + 1)
     found: set[str] = set()
-    for path in sorted(glob.glob(pattern)):
-        tbl = pq.read_table(path, columns=["term"],
-                            filters=[("term", ">=", prefix),
-                                     ("term", "<", upper)])
-        found.update(tbl["term"].to_pylist())
+    for pkey in range(eng.P):
+        tbl = eng._shards.read_range(pkey, prefix, upper, ["term"])
+        if tbl is not None:
+            found.update(tbl["term"].to_pylist())
     return sorted(found)[:max_expansions]
 
 
@@ -1281,16 +1287,13 @@ def search_sorted_by(eng: SearchEngine, terms: list[str], sort_col: str,
     """ES ``sort`` clause: hits matching ANY query term, ordered by a
     stored FIELD instead of _score (ES leaves _score null when a sort
     clause is present).  The candidate set is the union of the terms'
-    postings (df-bounded, shard-pruned reads); sort keys come from
-    chunked range-pruned docstore fetches of (doc_id, sort_col) only.
+    postings (df-bounded, shard-pruned reads); sort keys come from one
+    ``fetch_docs`` of (doc_id, sort_col) only.
     -> (rank, doc_id, <sort_col>), ties broken by doc_id asc."""
     ids = eng.docs[eng._hits(terms) > 0]
-    vals = np.empty(ids.size, dtype=np.int64)
-    for c0 in range(0, ids.size, 65536):
-        chunk = ids[c0:c0 + 65536]
-        tbl = eng.fetch_docs(chunk.tolist(), columns=["doc_id", sort_col])
-        vals[c0:c0 + chunk.size] = tbl[sort_col].to_numpy(
-            zero_copy_only=False).astype(np.int64)
+    vals = eng.fetch_docs(ids, columns=["doc_id", sort_col])[sort_col] \
+        .to_numpy(zero_copy_only=False).astype(np.int64) if ids.size \
+        else np.empty(0, dtype=np.int64)
     order = np.lexsort((ids, -vals if descending else vals))[:k]
     return pa.table({
         "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),
@@ -1305,7 +1308,6 @@ def rare_terms(index_dir: str, max_df: int = 3):
     Distributed shard-dictionary scan with the df predicate pushed to
     the parquet read (row-group stats prune); posting blobs never read.
     -> (term, df) Dataset."""
-    import pyarrow.dataset as pads
     import ray.data
     return ray.data.read_parquet(os.path.join(index_dir, "shards"),
                                  columns=["term", "df"],
@@ -1405,12 +1407,8 @@ def rank_correlation(eng: SearchEngine, terms: list[str],
                          for c, v in (("n", n), ("n_pairs", 0),
                                       ("concordant", 0),
                                       ("discordant", 0), ("tau_e6", 0))})
-    vals_tbl = eng.fetch_docs(top.tolist(), ["doc_id", field])
-    got = vals_tbl["doc_id"].to_numpy(zero_copy_only=False) \
-        .astype(np.int64)
-    v = vals_tbl[field].to_numpy(zero_copy_only=False).astype(np.int64)
-    pos = np.searchsorted(np.sort(got), top)
-    v = v[np.argsort(got)][pos]            # align field values to A-order
+    v = eng.fetch_docs(top, ["doc_id", field])[field] \
+        .to_numpy(zero_copy_only=False).astype(np.int64)   # in A-order
     # B-rank of each doc: order by (field desc, doc asc)
     b_order = np.lexsort((top, -v))
     b_rank = np.empty(n, dtype=np.int64)
@@ -1431,33 +1429,20 @@ def rank_correlation(eng: SearchEngine, terms: list[str],
 def delete_by_metadata(index_dir: str, where: dict) -> int:
     """ES ILM delete phase / ``_delete_by_query`` with a METADATA
     predicate: tombstone every live doc whose docstore metadata matches
-    ``where`` (scalar = equality, ``(lo, hi)`` tuple = inclusive range
-    — the :meth:`SearchEngine.search_filtered` convention).  The ids
-    come from a predicate-PUSHED-DOWN docstore read of the ``doc_id``
-    column only (row groups that can't match never leave storage) —
-    the retention sweep ("delete everything older than 90 days" /
-    "drop language X") that index lifecycle management runs on a
-    schedule.  Soft tombstones like every delete here; physical drop
-    at compaction.  Returns the number newly tombstoned."""
-    import glob
-    import pyarrow.dataset as pads
+    ``where`` (:func:`where_expr`: scalar = equality, ``(lo, hi)`` tuple
+    = inclusive range) — the retention sweep ("delete everything older
+    than 90 days" / "drop language X") that index lifecycle management
+    runs on a schedule.  The ids are :meth:`SearchEngine.allowed_doc_ids`
+    of an engine opened on the index; an empty ``where`` deletes
+    nothing.  Soft tombstones like every delete here; physical drop at
+    compaction.  Returns the number newly tombstoned."""
     from onestools_eventlog_ray.state.tombstones import delete_docs
+    if not where:
+        return 0
     eng = SearchEngine(index_dir)
-    expr = None
-    for c, v in sorted(where.items()):
-        e = ((pads.field(c) >= v[0]) & (pads.field(c) <= v[1])) \
-            if isinstance(v, tuple) else (pads.field(c) == v)
-        expr = e if expr is None else expr & e
-    files = sorted(glob.glob(os.path.join(index_dir, "docstore",
-                                          "*.parquet")))
-    if not files or expr is None:
-        return 0
-    dset = pads.dataset(files)
-    ids = eng._live_ids(dset.to_table(columns=["doc_id"], filter=expr)
-                        ["doc_id"].to_numpy(zero_copy_only=False))
-    if not ids.size:
-        return 0
-    return delete_docs(index_dir, ids)
+    ids = eng.allowed_doc_ids(where)
+    eng.close()
+    return delete_docs(index_dir, ids) if ids.size else 0
 
 
 def explain_score(eng: SearchEngine, terms: list[str],
@@ -1592,7 +1577,7 @@ def term_vectors(eng: SearchEngine, doc_id: int,
     document — (term, tf, df), term-sorted.  tf comes from re-analyzing
     the stored content (the same analyzer as indexing, exactly how ES
     computes term vectors on the fly); df from the shard-pruned term
-    dictionary lookups.  Cost: one range-pruned docstore fetch (only
+    dictionary lookups.  Cost: one docstore fetch (only
     ``content_col``) + one posting-dictionary probe per distinct term."""
     from onestools_eventlog_ray.functions.analyzer import tokenize_py
     tbl = eng.fetch_docs([doc_id], columns=["doc_id", content_col])
@@ -1616,7 +1601,7 @@ def term_vectors(eng: SearchEngine, doc_id: int,
 def mtermvectors(eng: SearchEngine, doc_ids: list[int],
                  content_col: str = "content") -> pa.Table:
     """ES ``_mtermvectors``: term vectors for MANY stored docs in one
-    call — ONE range-pruned docstore fetch for all ids and ONE batched
+    call — ONE docstore fetch for all ids and ONE batched
     dictionary probe for the union of their distinct terms (instead of
     per-doc round trips; exactly why the ES bulk API exists).  The
     re-analysis is the vectorized batch tokenizer, per-doc tf via a

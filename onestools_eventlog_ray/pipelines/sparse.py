@@ -52,7 +52,6 @@ from onestools_eventlog_ray.config import EngineConfig
 from onestools_eventlog_ray.functions.bm25 import accumulate, doc_mask
 from onestools_eventlog_ray.functions.hashing import (term_partition,
                                                       term_partition_one)
-from onestools_eventlog_ray.pipelines.query import load_doc_ids
 from onestools_eventlog_ray.sources.corpus import (CODE_CORPUS_SPEC,
                                                    CorpusSpec, read_corpus)
 from onestools_eventlog_ray.stages.postings import TermShards
@@ -168,8 +167,10 @@ class SparseEngine:
         # the sidecar's own sorted doc_ids are the ordinal space, as a
         # sidecar may stand alone, without a BM25 index and its docstore;
         # soft-deleted doc_ids are masked like every BM25 path
-        self.docs = load_doc_ids(sorted(glob.glob(
-            os.path.join(self.dir, "impact-*.parquet"))))
+        files = sorted(glob.glob(os.path.join(self.dir, "impact-*.parquet")))
+        self.docs = np.unique(pq.read_table(files, columns=["doc_id"])[
+            "doc_id"].to_numpy().astype(np.int64)) if files \
+            else np.empty(0, dtype=np.int64)
         self.deleted = load_tombstones(index_dir)
         self.live = ~doc_mask(self.docs, self.deleted)
         self._shards = TermShards(os.path.join(self.dir,

@@ -33,8 +33,9 @@ A term shard is term-sorted rows in row groups of ``SHARD_ROW_GROUP``
 terms (``write_shard``), each with its ``term`` min/max in the footer.
 ``TermShards`` is the read side: it opens a shard once, keeps those
 ranges resident and reads only the row group that can hold a probed
-term — a resident index over on-disk term blocks, like Lucene's
-block-tree terms dictionary.
+term, or the groups that overlap a term range (prefix expansion) — a
+resident index over on-disk term blocks, like Lucene's block-tree terms
+dictionary.
 """
 
 from __future__ import annotations
@@ -132,13 +133,22 @@ class TermShards:
         groups = every.copy()
         for t in terms:
             groups |= (lo <= t) & (hi >= t)
-        tbls = [pf.read_row_group(int(i), columns=columns, use_threads=False)
-                for i in np.flatnonzero(groups)]
-        if not tbls:
+        tbl = _read_groups(pf, groups, columns)
+        return None if tbl is None else tbl.filter(
+            pc.is_in(tbl["term"], value_set=pa.array(terms, pa.string())))
+
+    def read_range(self, pkey: int, lo: str, hi: str,
+                   columns: list[str] | None = None) -> pa.Table | None:
+        """As :meth:`read`, for the rows with ``lo <= term < hi``: only
+        the row groups whose term range overlaps ``[lo, hi)`` are read."""
+        f = self._file(pkey)
+        if f is None:
             return None
-        tbl = pa.concat_tables(tbls) if len(tbls) > 1 else tbls[0]
-        return tbl.filter(pc.is_in(tbl["term"],
-                                   value_set=pa.array(terms, pa.string())))
+        pf, glo, ghi, every = f
+        tbl = _read_groups(pf, every | ((ghi >= lo) & (glo < hi)), columns)
+        return None if tbl is None else tbl.filter(
+            pc.and_(pc.greater_equal(tbl["term"], lo),
+                    pc.less(tbl["term"], hi)))
 
     def close(self) -> None:
         """Close every open file.  A later probe opens its file again,
@@ -146,6 +156,14 @@ class TermShards:
         for pf, *_ in self._open.values():
             pf.close()
         self._open.clear()
+
+
+def _read_groups(pf: pq.ParquetFile, groups: np.ndarray,
+                 columns: list[str] | None) -> pa.Table | None:
+    """The row groups of ``pf`` set in the mask ``groups``, or None."""
+    tbls = [pf.read_row_group(int(i), columns=columns, use_threads=False)
+            for i in np.flatnonzero(groups)]
+    return pa.concat_tables(tbls) if tbls else None
 
 
 def make_encode_runs(block_size: int):

@@ -1,14 +1,15 @@
 """Structural guard of the engine's one lookup rule: a term's doc
 ordinals come from the weight cache, tf/dl from the one postings
-helper, and tombstones from the ``live`` mask.  The package AST is
-walked, so a second blob decode or a tombstone ``np.isin`` added
-anywhere fails here."""
+helper, tombstones from the ``live`` mask, and index files are read
+through the handles the engine's readers opened.  The package AST is
+walked, so a second blob decode, a tombstone ``np.isin``, a per-call
+file read or a second ``where`` builder added anywhere fails here."""
 
 import ast
 import os
 
 import onestools_eventlog_ray
-from onestools_eventlog_ray.pipelines import dsl, esql
+from onestools_eventlog_ray.pipelines import dsl, esql, query
 
 _PKG = os.path.dirname(onestools_eventlog_ray.__file__)
 _DECODERS = {("functions/bm25.py", "term_weights"),
@@ -16,6 +17,11 @@ _DECODERS = {("functions/bm25.py", "term_weights"),
 _NO_TOMBSTONE_ISIN = ("pipelines/query.py", "pipelines/dsl.py",
                       "pipelines/esql.py", "pipelines/multifield.py",
                       "pipelines/lateinteraction.py")
+# engine-side modules: files are opened by the readers' constructors only
+_RESIDENT_READS = ("pipelines/query.py", "pipelines/dsl.py",
+                   "pipelines/phrase.py", "pipelines/multifield.py",
+                   "pipelines/lateinteraction.py")
+_OPENERS = {"DocStore.__init__", "PhraseEngine.__init__"}
 
 
 def _modules():
@@ -71,3 +77,39 @@ def test_no_tombstone_isin_in_the_query_families():
 def test_old_posting_id_helpers_are_gone():
     assert not hasattr(dsl, "_posting_ids")
     assert not hasattr(esql, "_match_posting_ids")
+
+
+def test_index_files_are_read_through_the_readers_handles():
+    """No ``pq.read_table``, ``pads.dataset`` or ``glob.glob`` call in
+    the engine-side modules outside the readers' constructors
+    (``ray.data.read_parquet`` scans are distributed jobs, not engine
+    reads)."""
+    found = []
+    for path, tree in _modules():
+        if path not in _RESIDENT_READS:
+            continue
+        for node, scope in _scoped(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in ("read_table", "dataset", "glob") \
+                    and scope not in _OPENERS:
+                found.append((path, scope, node.func.attr))
+    assert found == []
+    assert not hasattr(query, "_part_range")
+    assert not hasattr(query, "_expand_prefix")
+    assert not hasattr(query, "load_doc_ids")
+
+
+def test_where_expr_is_the_one_where_builder():
+    """Only ``where_expr`` tells a ``(lo, hi)`` range from an equality
+    value in the engine-side modules."""
+    found = []
+    for path, tree in _modules():
+        if path not in _RESIDENT_READS:
+            continue
+        for node, scope in _scoped(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" \
+                    and "tuple" in _names(node.args[1]):
+                found.append((path, scope))
+    assert found == [("pipelines/query.py", "where_expr")]

@@ -224,14 +224,19 @@ def test_search_filtered_subset_same_scores(doc_index):
 
 
 def test_fetch_docs_pruned_and_ordered(doc_index):
-    from onestools_eventlog_ray.pipelines.query import SearchEngine, _part_range
+    from onestools_eventlog_ray.pipelines.query import SearchEngine
     import glob
     idx, tbl = doc_index
     eng = SearchEngine(idx)
     got = eng.fetch_docs([7, 3, 11], columns=["doc_id", "lang"])
     assert got["doc_id"].to_pylist() == [7, 3, 11]
+    # parts are named part-<nrows>-<min16x>-<max16x>-<acc16x>.parquet
     files = glob.glob(os.path.join(idx, "docstore", "*.parquet"))
-    assert files and all(_part_range(f) is not None for f in files)
+    assert files
+    for f in files:
+        n, lo, hi, acc = os.path.basename(f)[:-len(".parquet")] \
+            .split("-")[1:]
+        assert int(lo, 16) <= int(hi, 16) and len(acc) == 16
 
 
 def test_rebuild_drops_stale_shards(tmp_path):

@@ -520,7 +520,7 @@ def test_phrase_prefix_bruteforce(index_dir, docs_tbl):
                              index_dir, spec=DOCUMENTS_SPEC,
                              cfg=EngineConfig(num_partitions=16))
     eng = PhraseEngine(index_dir)
-    got = search_phrase_prefix(eng, index_dir, ["batch"], "s")
+    got = search_phrase_prefix(eng, ["batch"], "s")
     want = collections.Counter()
     for d, text in zip(docs_tbl["doc_id"].to_pylist(),
                        docs_tbl["text"].to_pylist()):
@@ -534,28 +534,58 @@ def test_phrase_prefix_bruteforce(index_dir, docs_tbl):
     assert got
 
 
-def test_phrase_prefix_expansion_reads_the_sidecar(index_dir):
+def test_phrase_prefix_expansion_reads_the_sidecar(index_dir, tmp_path):
     """The positions sidecar's prefix expansion is its sorted distinct
-    terms with that prefix, capped in sorted order."""
+    terms with that prefix, capped in sorted order.  On multi-group
+    ``write_shard`` files the range read equals a full read for prefixes
+    of one and more characters cut at every row-group boundary."""
     import glob
-    from onestools_eventlog_ray.pipelines.query import _expand_prefix
-    pattern = os.path.join(index_dir, "positions", "pos-*.parquet")
-    files = sorted(glob.glob(pattern))
+    from types import SimpleNamespace
+    from onestools_eventlog_ray.pipelines.phrase import PhraseEngine
+    from onestools_eventlog_ray.pipelines.query import expand_prefix_terms
+    from onestools_eventlog_ray.stages.postings import (SHARD_ROW_GROUP,
+                                                        TermShards,
+                                                        write_shard)
+    files = sorted(glob.glob(os.path.join(index_dir, "positions",
+                                          "pos-*.parquet")))
     assert files
     terms = sorted(set(pq.read_table(files, columns=["term"])["term"]
                        .to_pylist()))
     want = [t for t in terms if t.startswith("s")]
     assert len(want) > 3
-    assert _expand_prefix(pattern, "s", 50) == want[:50]
-    assert _expand_prefix(pattern, "s", 3) == want[:3]
-    assert _expand_prefix(pattern, "zzz", 50) == []
+    eng = PhraseEngine(index_dir)
+    assert expand_prefix_terms(eng, "s", 50) == want[:50]
+    assert expand_prefix_terms(eng, "s", 3) == want[:3]
+    assert expand_prefix_terms(eng, "zzz", 50) == []
+
+    # seeded words over 3 files of several row groups each
+    rng = np.random.default_rng(4)
+    alpha = np.array(list("aeiprst"))
+    words = sorted({"".join(rng.choice(alpha, size=int(n)))
+                    for n in rng.integers(1, 7, size=4000)})
+    assert len(words) > 3 * 4 * SHARD_ROW_GROUP
+    path = str(tmp_path / "f-{:05d}.parquet")
+    for p in range(3):
+        write_shard(pa.table({"term": words[p::3]}), path.format(p))
+        assert pq.read_metadata(path.format(p)).num_row_groups >= 4
+    multi = SimpleNamespace(P=3, _shards=TermShards(path))
+    probes = {"", "0", "zzzz", "s", "sp", "spa"}
+    for p in range(3):
+        ts = words[p::3]
+        for i in range(0, len(ts), SHARD_ROW_GROUP):
+            for t in ts[max(0, i - 1):i + 1]:        # a group's edges
+                probes.update(t[:n] for n in range(1, len(t) + 2))
+    for pre in sorted(probes):
+        got = expand_prefix_terms(multi, pre, 10_000)
+        assert got == ([t for t in words if t.startswith(pre)]
+                       if pre else []), pre
 
 
 def test_phrase_prefix_no_expansion_is_empty(index_dir):
     from onestools_eventlog_ray.pipelines.phrase import (PhraseEngine,
                                                         search_phrase_prefix)
     eng = PhraseEngine(index_dir)
-    assert search_phrase_prefix(eng, index_dir, ["batch"], "zzz") == []
+    assert search_phrase_prefix(eng, ["batch"], "zzz") == []
 
 
 def test_facet_stats_bruteforce(index_dir, docs_tbl):

@@ -57,11 +57,10 @@ def test_parse_clauses():
 
 def test_expand_prefix_terms(sqs_index):
     from onestools_eventlog_ray.pipelines.query import expand_prefix_terms
-    assert expand_prefix_terms(sqs_index.index_dir, "win") == [
-        "wind", "window"]
-    assert expand_prefix_terms(sqs_index.index_dir, "zz") == []
+    assert expand_prefix_terms(sqs_index, "win") == ["wind", "window"]
+    assert expand_prefix_terms(sqs_index, "zz") == []
     # cap binds deterministically (sorted order)
-    assert expand_prefix_terms(sqs_index.index_dir, "win",
+    assert expand_prefix_terms(sqs_index, "win",
                                max_expansions=1) == ["wind"]
 
 

@@ -256,9 +256,10 @@ def test_write_shard_layout(tmp_path):
             assert col.is_stats_set == (col.path_in_schema == "term")
 
 
-def _open_shard_files(root: str) -> int:
-    """This process's open file descriptors on ``root``'s shard files."""
-    shards = os.path.join(root, "shards") + os.sep
+def _open_shard_files(root: str, sub: str = "shards") -> int:
+    """This process's open file descriptors on ``root``'s shard files
+    (``sub="docstore"``: its docstore parts)."""
+    shards = os.path.join(root, sub) + os.sep
     n = 0
     for fd in os.listdir("/proc/self/fd"):
         try:
@@ -270,7 +271,9 @@ def _open_shard_files(root: str) -> int:
 
 def test_close_releases_the_open_shard_files(tmp_path):
     """An engine holds one open file per probed shard until ``close()``;
-    a probe after ``close()`` opens its shard again."""
+    a probe after ``close()`` opens its shard again.  It holds one open
+    file per docstore part from open until ``close()``; a docstore read
+    after ``close()`` raises."""
     from onestools_eventlog_ray.pipelines.incremental import \
         GenerationalSearchEngine
     rng = np.random.default_rng(11)
@@ -283,13 +286,24 @@ def test_close_releases_the_open_shard_files(tmp_path):
                     {p: (_shard_table(by_shard.get(p, []), rng), "write_shard")
                      for p in range(P)})
              for g in ("gen-0000", "gen-0001")]
+    os.makedirs(os.path.join(roots[0], "docstore"))
+    for i in range(3):
+        pq.write_table(pa.table({"doc_id": pa.array([i, 10 + i], pa.int64())}),
+                       os.path.join(roots[0], "docstore", f"p{i}.parquet"))
     assert _open_shard_files(roots[0]) == 0
     eng = SearchEngine(roots[0])
     assert _open_shard_files(roots[0]) == 0
+    assert _open_shard_files(roots[0], "docstore") == 3
     assert len(eng.load_terms(terms)) == len(terms)
+    assert eng.fetch_docs([11, 0])["doc_id"].to_pylist() == [11, 0]
     assert _open_shard_files(roots[0]) == P
+    assert _open_shard_files(roots[0], "docstore") == 3
     eng.close()
     assert _open_shard_files(roots[0]) == 0
+    assert _open_shard_files(roots[0], "docstore") == 0
+    with pytest.raises(ValueError, match="closed"):
+        eng.fetch_docs([11])
+    assert _open_shard_files(roots[0], "docstore") == 0
     assert eng.load_terms(["zzz"]) == {}      # a miss probes one shard
     assert _open_shard_files(roots[0]) == 1
     eng.close()
@@ -300,3 +314,24 @@ def test_close_releases_the_open_shard_files(tmp_path):
     assert [_open_shard_files(r) for r in roots] == [1, 1]
     gen.close()
     assert [_open_shard_files(r) for r in roots] == [0, 0]
+
+
+def test_prefix_expansion_reads_the_engine_s_open_shards(tmp_path, counted):
+    """A prefix expansion opens no shard its engine has not opened, and
+    reads only the row groups whose term range overlaps the prefix."""
+    from onestools_eventlog_ray.pipelines.query import expand_prefix_terms
+    opens, reads = counted
+    rng = np.random.default_rng(13)
+    terms = _words(rng, 5 * SHARD_ROW_GROUP + 3)
+    root = _index(str(tmp_path), 1, {0: (_shard_table(terms, rng),
+                                         "write_shard")})
+    eng = SearchEngine(root)
+    assert terms[0] in eng.load_terms([terms[0]])
+    del opens[:], reads[:]
+    pre = terms[2 * SHARD_ROW_GROUP + 5][:3]
+    want = [t for t in terms if t.startswith(pre)]
+    assert expand_prefix_terms(eng, pre, 10_000) == want
+    assert opens == []
+    groups = {i // SHARD_ROW_GROUP for i, t in enumerate(terms)
+              if t.startswith(pre)}
+    assert set(reads) == groups and len(reads) == len(groups)
