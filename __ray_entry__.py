@@ -608,8 +608,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def bm25_topk_actor_pool(sf_dir):
         """Same oracle as bm25_topk, computed via the DISTRIBUTED
-        actor-pool scorer (``score_queries``) — driver-checks the
-        serving stage, not just the in-process engine."""
+        batch query stage (``score_queries``: map_batches tasks over
+        one cached engine per worker) — driver-checks the serving
+        stage, not just the in-process engine.  The name is the oracle
+        key and predates the stage's move from an actor pool to
+        tasks."""
         from onestools_eventlog_ray.pipelines.query import score_queries
         index_dir = _ensure_index(sf_dir)
         rows = score_queries(index_dir,

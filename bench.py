@@ -158,15 +158,14 @@ def run_headline(clock: _StageClock) -> dict:
     clock.run("index_build", _build, trials=3)
     report = report_box["r"]
 
-    # serve the query batch from the STATELESS-TASK scorer (prestarted
-    # workers, per-process engine cache): the actor-pool variant pays a
-    # 1-5 s pool spin-up inside the timed window on every call, which is
-    # cluster warmup, not query throughput (round-2 bench regression);
-    # best-of-2 so shard page-cache warmup lands in the discarded trial
+    # serve the query batch from score_queries' stateless tasks
+    # (prestarted workers, one cached engine per worker process), so no
+    # pool spin-up lands inside the timed window; best-of-2 so shard
+    # page-cache warmup lands in the discarded trial
     n_hits = clock.run(
         "bm25_queries",
-        lambda: score_queries(index_dir, bench_queries(), batch_size=2,
-                              impl="tasks").count(),
+        lambda: score_queries(index_dir, bench_queries(),
+                              batch_size=2).count(),
         trials=2)
 
     t_build = clock.wall["index_build"]

@@ -11,6 +11,11 @@ the high one, so measured efficiency understates the engine.
 ``pin_worker_threads()`` caps Arrow's compute/IO pools at 1 thread for
 this process; every CPU-heavy stage calls it once (cheap, idempotent).
 The driver process is intentionally NOT pinned.
+
+``worker_engine(open_fn, index_dir, watch)`` is the per-worker engine
+cache of the batch query stages: plain ``map_batches`` tasks reuse
+prestarted workers, so an engine opened once per worker process serves
+every later batch without an actor pool's spin-up.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import os
 
 _PINNED = False
 _CORE_PINNED = False
+#: (open_fn, index_dir) -> (stamp of the watched paths, engine)
+_ENGINES: dict[tuple, tuple] = {}
 
 
 def pin_worker_threads(n: int = 1) -> None:
@@ -30,6 +37,27 @@ def pin_worker_threads(n: int = 1) -> None:
         _PINNED = True
     if os.environ.get("OEL_PIN_CORES") == "1":
         pin_worker_core()
+
+
+def _stamp(path: str):
+    """A file's mtime, a directory's sorted listing, None when missing."""
+    if os.path.isdir(path):
+        return tuple(sorted(os.listdir(path)))
+    return os.path.getmtime(path) if os.path.exists(path) else None
+
+
+def worker_engine(open_fn, index_dir: str, watch: tuple[str, ...]):
+    """The engine ``open_fn(index_dir)`` this worker process opened,
+    reopened when the stamp of any ``watch`` path has changed since: a
+    long-lived worker sees deletes, rebuilds and compactions on its
+    next batch instead of answering from a stale snapshot.  One stat or
+    listdir per watched path per call; a replaced engine is dropped."""
+    key = (open_fn, index_dir)
+    stamp = tuple(_stamp(p) for p in watch)
+    hit = _ENGINES.get(key)
+    if hit is None or hit[0] != stamp:
+        hit = _ENGINES[key] = (stamp, open_fn(index_dir))
+    return hit[1]
 
 
 def pin_worker_core() -> None:

@@ -413,29 +413,17 @@ class AnnIndex:
 # distributed ANN serving (same pattern as query.score_queries)
 # ---------------------------------------------------------------------------
 
-#: per-worker-process index cache (planes + hot-bucket LRU live once per
-#: worker; stateless tasks avoid actor-pool spin-up — pipelines/query.py)
-_ANN_CACHE: dict[str, AnnIndex] = {}
-
-
 def _ann_batch(batch: pa.Table, *, index_dir: str, k: int,
                hamming: int) -> pa.Table:
-    from onestools_eventlog_ray.functions.runtime import pin_worker_threads
+    from onestools_eventlog_ray.functions.runtime import (pin_worker_threads,
+                                                          worker_engine)
     pin_worker_threads()
-    # staleness guard: generations/compaction/deletes all rewrite
-    # _meta.json (and delete_ann_vecs touches _deleted.parquet), so the
-    # cache key carries both mtimes — a long-lived serving worker picks
-    # up index mutations on its next batch instead of answering from a
-    # stale snapshot (the text side solves this with LAYOUT_VERSION)
+    # generations, compaction and deletes rewrite _meta.json, and
+    # delete_ann_vecs rewrites _deleted.parquet
     ann_dir = os.path.join(index_dir, "ann")
-    dp = os.path.join(ann_dir, "_deleted.parquet")
-    ver = (os.path.getmtime(os.path.join(ann_dir, "_meta.json")),
-           os.path.getmtime(dp) if os.path.exists(dp) else 0.0)
-    idx = _ANN_CACHE.get(index_dir)
-    if idx is None or getattr(idx, "_cache_ver", None) != ver:
-        idx = AnnIndex(index_dir)
-        idx._cache_ver = ver
-        _ANN_CACHE[index_dir] = idx
+    idx = worker_engine(AnnIndex, index_dir,
+                        (os.path.join(ann_dir, "_meta.json"),
+                         os.path.join(ann_dir, "_deleted.parquet")))
     qids, ranks, vids, coss = [], [], [], []
     excl_col = batch["exclude_id"].to_pylist() \
         if "exclude_id" in batch.column_names else [None] * batch.num_rows

@@ -503,8 +503,10 @@ def _qs_match_mask(node: tuple, eng: SearchEngine, peng,
         if any(c[0] == "not" for c in node[1]):
             raise DslError("NOT directly under OR is unsupported "
                            "(as in Lucene)")
+        # the all-false leg makes an empty OR match nothing
         return np.logical_or.reduce(
-            [_qs_match_mask(c, eng, peng, cache) for c in node[1]])
+            [np.zeros(eng.docs.size, bool)]
+            + [_qs_match_mask(c, eng, peng, cache) for c in node[1]])
     raise DslError(f"cannot match node kind {kind}")
 
 

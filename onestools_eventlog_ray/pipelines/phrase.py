@@ -219,30 +219,16 @@ class PhraseEngine:
 # distributed phrase serving (same pattern as query.score_queries)
 # ---------------------------------------------------------------------------
 
-#: per-worker-process engine cache — stateless tasks reuse prestarted
-#: workers, so the sidecar metadata/shard state is loaded once per
-#: worker without an actor pool's spin-up (see pipelines/query.py).
-_PHRASE_CACHE: dict[str, "PhraseEngine"] = {}
-
-
 def _phrase_batch(batch: pa.Table, *, index_dir: str) -> pa.Table:
-    from onestools_eventlog_ray.functions.runtime import pin_worker_threads
-    pin_worker_threads()
-    # staleness guard (mirror of query._engine_for): an in-place sidecar
-    # rebuild rewrites the positions dir and a delete appends tombstone
-    # part files (phrase results mask them since round 5), so key on
-    # both listings
+    from onestools_eventlog_ray.functions.runtime import (pin_worker_threads,
+                                                          worker_engine)
     from onestools_eventlog_ray.state.tombstones import tombstone_dir
-    pos_dir = os.path.join(index_dir, "positions")
-    td = tombstone_dir(index_dir)
-    ver = (tuple(sorted(os.listdir(pos_dir)))
-           if os.path.isdir(pos_dir) else (),
-           tuple(sorted(os.listdir(td))) if os.path.isdir(td) else ())
-    eng = _PHRASE_CACHE.get(index_dir)
-    if eng is None or getattr(eng, "_cache_ver", None) != ver:
-        eng = PhraseEngine(index_dir)
-        eng._cache_ver = ver
-        _PHRASE_CACHE[index_dir] = eng
+    pin_worker_threads()
+    # an in-place sidecar rebuild rewrites the positions dir and a
+    # delete appends a tombstone part file
+    eng = worker_engine(PhraseEngine, index_dir,
+                        (os.path.join(index_dir, "positions"),
+                         tombstone_dir(index_dir)))
     qids, docs, matches = [], [], []
     for qid, terms in zip(batch["query_id"].to_pylist(),
                           batch["terms"].to_pylist()):

@@ -1,5 +1,5 @@
 """BM25 top-k query path: shard-pruned posting reads, the exact TAAT
-scorer, and a Ray actor-pool stage for query batches.
+scorer, and a Ray batch stage for query batches.
 
 The reference delegates this entirely to ElasticSearch's query engine
 over its ``text``-analyzed fields
@@ -16,8 +16,9 @@ here it is built from the shards:
   tie-break ``(score desc, doc_id asc)`` — rank-identical to the
   brute-force oracle.
 
-``SearchEngine`` is the per-actor state of ``score_queries``'s actor
-pool.
+``score_queries`` runs query batches as ``map_batches`` tasks, each
+scoring through the ``SearchEngine`` its worker process keeps open
+(``functions.runtime.worker_engine``).
 """
 
 from __future__ import annotations
@@ -80,9 +81,7 @@ def _verify_refill(eng, ids: np.ndarray, scores: np.ndarray, where: dict,
         ids, scores = ids[rest], scores[rest]
         chunk *= 4
         tbl = eng.fetch_docs(part_ids, columns=["doc_id"] + list(where))
-        if tbl.num_rows:
-            tbl = tbl.filter(expr)
-        ok = set(tbl["doc_id"].to_pylist())
+        ok = set(tbl.filter(expr)["doc_id"].to_pylist())
         out.extend(h for h in zip(part_ids, part_scores) if h[0] in ok)
     return out[:k]
 
@@ -111,6 +110,9 @@ class DocStore:
         ids = np.concatenate([np.empty(0, np.int64)] + [
             pf.read(columns=["doc_id"], use_threads=False)["doc_id"]
             .to_numpy().astype(np.int64) for pf in self._files])
+        # the parts' schema; an index with no docstore part has doc_id only
+        self.schema = self._files[0].schema_arrow if self._files \
+            else pa.schema([("doc_id", pa.int64())])
         self._groups = [(pf, g) for pf in self._files
                         for g in range(pf.metadata.num_row_groups)]
         # first row of each row group, and the total, in row positions
@@ -372,8 +374,8 @@ class SearchEngine:
         live docs of the index are dropped, and a repeated id keeps its
         first place.  Reads ``columns`` (all when None) of only the row
         groups that hold a requested doc, through the engine's open
-        :class:`DocStore`; nothing to return gives a ``doc_id``-only
-        empty table."""
+        :class:`DocStore`; nothing to return gives those columns,
+        empty, with their docstore types."""
         req = np.fromiter(doc_ids, dtype=np.int64)
         ords = np.searchsorted(self.docs, req)
         ok = ords < self.docs.size
@@ -381,7 +383,8 @@ class SearchEngine:
         ords = ords[ok]
         ords = ords[np.sort(np.unique(ords, return_index=True)[1])]
         if not ords.size:
-            return pa.table({"doc_id": pa.array([], pa.int64())})
+            schema = self._docstore.schema
+            return schema.empty_table().select(columns or schema.names)
         return self._docstore.take(ords, columns)
 
     def allowed_doc_ids(self, where: dict) -> np.ndarray:
@@ -571,8 +574,6 @@ class SearchEngine:
         float64: one :meth:`fetch_docs` of the MATCHING docs only, never
         a corpus scan."""
         ids, base = self._taat_arrays(terms)
-        if not ids.size:
-            return []
         v = self.fetch_docs(ids, ["doc_id", field])[field] \
             .cast(pa.float64()).to_numpy(zero_copy_only=False)
         scores = combine(base, v)
@@ -740,142 +741,89 @@ class SearchEngine:
 
 
 # --------------------------------------------------------------------------
-# Ray actor-pool query stage
+# Ray batch query stage
 # --------------------------------------------------------------------------
 
-class QueryScorer:
-    """map_batches class: batches of (query_id, terms, k) -> top-k rows.
-
-    One ``SearchEngine`` (with its shard caches) per actor — setup in
-    ``__init__``, scoring per batch (the actor-pool contract)."""
-
-    def __init__(self, index_dir: str, tie: str = "float"):
-        self.engine = SearchEngine(index_dir)
-        self.tie = tie
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        qids, ranks, doc_ids, scores = [], [], [], []
-        terms_col = batch["terms"].to_pylist()
-        k_col = batch["k"].to_pylist() if "k" in batch.column_names \
-            else [10] * batch.num_rows
-        # optional per-query DSL columns route through search_dsl (the
-        # distributed serving path covers the whole scoring surface, not
-        # just plain BM25): "msm" (minimum_should_match), "mode"
-        # ("sum"/"max"), "tie_breaker", "boosts" (JSON term->boost map)
-        msm_col = batch["msm"].to_pylist() if "msm" in batch.column_names \
-            else [None] * batch.num_rows
-        mode_col = batch["mode"].to_pylist() \
-            if "mode" in batch.column_names else [None] * batch.num_rows
-        tb_col = batch["tie_breaker"].to_pylist() \
-            if "tie_breaker" in batch.column_names \
-            else [None] * batch.num_rows
-        boosts_col = batch["boosts"].to_pylist() \
-            if "boosts" in batch.column_names else [None] * batch.num_rows
-        for qid, terms, k, msm, mode, tb, boosts in zip(
-                batch["query_id"].to_pylist(), terms_col, k_col,
-                msm_col, mode_col, tb_col, boosts_col):
-            if msm is not None or mode is not None or boosts is not None:
-                import json as _json
-                hits = search_dsl(
-                    self.engine, list(terms), int(k),
-                    boosts=_json.loads(boosts) if boosts else None,
-                    minimum_should_match=int(msm) if msm is not None else 1,
-                    mode=mode or "sum",
-                    tie_breaker=float(tb) if tb is not None else 0.0,
-                    tie=self.tie)
-            else:
-                hits = self.engine.search(list(terms), int(k), tie=self.tie)
-            for rank, (doc_id, score) in enumerate(hits, 1):
-                qids.append(qid)
-                ranks.append(rank)
-                doc_ids.append(doc_id)
-                scores.append(score)
-        return pa.table({
-            "query_id": pa.array(qids, pa.int64()),
-            "rank": pa.array(ranks, pa.int64()),
-            "doc_id": pa.array(doc_ids, pa.int64()),
-            "score": pa.array(scores, pa.float64()),
-        })
+#: optional per-query DSL columns of a query batch (see _score_batch)
+_DSL_OPTS = ("msm", "mode", "tie_breaker", "boosts")
 
 
-#: per-worker-process engine cache for the stateless-task scorer path:
-#: plain tasks reuse prestarted Ray workers across stages, so a module
-#: global gives the same build-once-per-worker behavior as an actor pool
-#: WITHOUT the pool's measured ~1-5 s spin-up per map_batches call (the
-#: same pattern as pipelines/dedup._STAGE_CACHE).  The SearchEngine's
-#: shard/weight LRUs live per worker process either way.
-_ENGINE_CACHE: dict[str, "SearchEngine"] = {}
+def _score_batch(batch: pa.Table, *, index_dir: str, k: int,
+                 tie: str) -> pa.Table:
+    """map_batches body: a batch of (query_id, terms[, k, msm, mode,
+    tie_breaker, boosts]) -> top-k (query_id, rank, doc_id, score) rows
+    from this worker's cached :class:`SearchEngine`.
 
-
-def _engine_for(index_dir: str) -> "SearchEngine":
-    # staleness guard (mirror of ann._ann_batch's): tombstones append
-    # part files and rebuild/compaction rewrites stats.json, so the
-    # cache key carries both signatures — a long-lived serving worker
-    # sees deletes/rebuilds on its next batch instead of answering from
-    # a stale snapshot.  One listdir + one stat per BATCH of queries.
+    Every row runs :func:`search_dsl` (with no DSL column it is
+    :meth:`SearchEngine.search`, bit for bit); ``k`` is the cut of rows
+    with no ``k`` value.  "msm" is minimum_should_match, "mode"
+    "sum"/"max", "tie_breaker" the dis_max factor and "boosts" a JSON
+    term -> boost map."""
+    import json
+    from onestools_eventlog_ray.functions.runtime import (pin_worker_threads,
+                                                          worker_engine)
     from onestools_eventlog_ray.state.tombstones import tombstone_dir
-    td = tombstone_dir(index_dir)
-    ver = (os.path.getmtime(os.path.join(index_dir, "stats.json")),
-           tuple(sorted(os.listdir(td))) if os.path.isdir(td) else ())
-    eng = _ENGINE_CACHE.get(index_dir)
-    if eng is None or getattr(eng, "_cache_ver", None) != ver:
-        eng = SearchEngine(index_dir)
-        eng._cache_ver = ver
-        _ENGINE_CACHE[index_dir] = eng
-    return eng
-
-
-def _score_batch(batch: pa.Table, *, index_dir: str,
-                 tie: str = "float") -> pa.Table:
-    from onestools_eventlog_ray.functions.runtime import pin_worker_threads
     pin_worker_threads()
-    scorer = QueryScorer.__new__(QueryScorer)
-    scorer.engine = _engine_for(index_dir)
-    scorer.tie = tie
-    return scorer(batch)
+    eng = worker_engine(SearchEngine, index_dir,
+                        (os.path.join(index_dir, "stats.json"),
+                         tombstone_dir(index_dir)))
+    n = batch.num_rows
+    opts = [batch[c].to_pylist() if c in batch.column_names else [None] * n
+            for c in ("k",) + _DSL_OPTS]
+    qids, ranks, doc_ids, scores = [], [], [], []
+    for qid, terms, row_k, msm, mode, tb, boosts in zip(
+            batch["query_id"].to_pylist(), batch["terms"].to_pylist(),
+            *opts):
+        hits = search_dsl(
+            eng, list(terms), int(k if row_k is None else row_k),
+            boosts=json.loads(boosts) if boosts else None,
+            minimum_should_match=int(msm) if msm is not None else 1,
+            mode=mode or "sum",
+            tie_breaker=float(tb) if tb is not None else 0.0, tie=tie)
+        for rank, (doc_id, score) in enumerate(hits, 1):
+            qids.append(qid)
+            ranks.append(rank)
+            doc_ids.append(doc_id)
+            scores.append(score)
+    return pa.table({
+        "query_id": pa.array(qids, pa.int64()),
+        "rank": pa.array(ranks, pa.int64()),
+        "doc_id": pa.array(doc_ids, pa.int64()),
+        "score": pa.array(scores, pa.float64()),
+    })
 
 
 def score_queries(index_dir: str, queries, k: int = 10,
-                  concurrency=(1, 8),
-                  batch_size: int = 8, impl: str = "actors",
-                  tie: str = "float"):
+                  batch_size: int = 8, tie: str = "float"):
     """Queries (list[dict] or Dataset with query_id/terms[/k]) -> Dataset
-    of (query_id, rank, doc_id, score).  Small ``batch_size`` spreads a
-    small query batch across the scorer pool.
-
-    ``impl="actors"`` is the classic stateful actor pool (ST1);
-    ``impl="tasks"`` serves from stateless tasks with a per-worker-process
-    engine cache — identical results, no pool spin-up inside the serving
-    window (prestarted workers are reused), the right default for steady
-    query streams."""
+    of (query_id, rank, doc_id, score); ``k`` is the cut of queries that
+    carry none.  Batches run as stateless tasks over one engine per
+    worker process (``runtime.worker_engine``): no pool spin-up inside
+    the serving window, and the engine's shard and weight caches stay
+    warm from one call to the next.  A small ``batch_size`` spreads a
+    small query batch across the workers."""
     import ray.data
     if not isinstance(queries, ray.data.Dataset):
         rows = []
         for q in queries:
             row = {"query_id": q["query_id"], "terms": list(q["terms"]),
                    "k": int(q.get("k", k))}
-            # optional DSL knobs ride along (see QueryScorer.__call__)
-            for opt in ("msm", "mode", "tie_breaker", "boosts"):
+            # optional DSL knobs ride along (see _score_batch)
+            for opt in _DSL_OPTS:
                 if q.get(opt) is not None:
                     row[opt] = q[opt]
             rows.append(row)
         # uniform keys per block: if ANY query carries a DSL knob, give
         # every row the column (None elsewhere) so Arrow sees one schema
-        opts_used = {o for r in rows for o in
-                     ("msm", "mode", "tie_breaker", "boosts") if o in r}
+        opts_used = {o for r in rows for o in _DSL_OPTS if o in r}
         for r in rows:
             for o in opts_used:
                 r.setdefault(o, None)
         queries = ray.data.from_items(rows)
-    if impl == "tasks":
-        return queries.map_batches(_score_batch, batch_format="pyarrow",
-                                   batch_size=batch_size,
-                                   fn_kwargs=dict(index_dir=index_dir,
-                                                  tie=tie))
-    return queries.map_batches(QueryScorer, batch_format="pyarrow",
-                               batch_size=batch_size, concurrency=concurrency,
-                               fn_constructor_kwargs=dict(index_dir=index_dir,
-                                                          tie=tie))
+    return queries.map_batches(_score_batch, batch_format="pyarrow",
+                               batch_size=batch_size,
+                               fn_kwargs=dict(index_dir=index_dir, k=k,
+                                              tie=tie))
 
 
 def prefix_term_stats(index_dir: str, prefix: str):
@@ -1148,11 +1096,6 @@ def search_collapse(eng: SearchEngine, terms: list[str], group_col: str,
     the candidate set is df-bounded, never the corpus.
     -> (group, rank_in_group, doc_id, score_e6) by (group, rank)."""
     ids, scores = eng._taat_arrays(terms)
-    if not ids.size:
-        return pa.table({group_col: pa.array([], pa.string()),
-                         "rank_in_group": pa.array([], pa.int64()),
-                         "doc_id": pa.array([], pa.int64()),
-                         "score_e6": pa.array([], pa.int64())})
     e6 = np.floor(scores * 1_000_000 + 0.5).astype(np.int64)
     order = np.lexsort((ids, -e6))
     ids, e6 = ids[order], e6[order]
@@ -1292,8 +1235,7 @@ def search_sorted_by(eng: SearchEngine, terms: list[str], sort_col: str,
     -> (rank, doc_id, <sort_col>), ties broken by doc_id asc."""
     ids = eng.docs[eng._hits(terms) > 0]
     vals = eng.fetch_docs(ids, columns=["doc_id", sort_col])[sort_col] \
-        .to_numpy(zero_copy_only=False).astype(np.int64) if ids.size \
-        else np.empty(0, dtype=np.int64)
+        .to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.lexsort((ids, -vals if descending else vals))[:k]
     return pa.table({
         "rank": pa.array(np.arange(1, order.size + 1), pa.int64()),
@@ -1581,7 +1523,7 @@ def term_vectors(eng: SearchEngine, doc_id: int,
     ``content_col``) + one posting-dictionary probe per distinct term."""
     from onestools_eventlog_ray.functions.analyzer import tokenize_py
     tbl = eng.fetch_docs([doc_id], columns=["doc_id", content_col])
-    if not tbl.num_rows or content_col not in tbl.column_names:
+    if not tbl.num_rows:
         return pa.table({"term": pa.array([], pa.string()),
                          "tf": pa.array([], pa.int64()),
                          "df": pa.array([], pa.int64())})
@@ -1613,7 +1555,7 @@ def mtermvectors(eng: SearchEngine, doc_ids: list[int],
                       "tf": pa.array([], pa.int64()),
                       "df": pa.array([], pa.int64())})
     tbl = eng.fetch_docs(list(doc_ids), columns=["doc_id", content_col])
-    if not tbl.num_rows or content_col not in tbl.column_names:
+    if not tbl.num_rows:
         return empty
     toks = tokenize_array(tbl[content_col])
     if isinstance(toks, pa.ChunkedArray):
@@ -1841,60 +1783,36 @@ def prf_search(eng: SearchEngine, terms: list[str], fb_docs: int = 10,
     })
 
 
+def _bool_tree_ast(node) -> tuple:
+    """:func:`count_bool`'s dict tree as a ``query_string`` AST."""
+    if isinstance(node, str):
+        return ("term", "text", node, 1.0)
+    if not isinstance(node, dict) or len(node) != 1:
+        raise ValueError(f"bad node {node!r}")
+    (op, val), = node.items()
+    if op == "not":
+        return ("not", _bool_tree_ast(val))
+    if op not in ("and", "or"):
+        raise ValueError(f"bad operator {op!r}")
+    return (op, [_bool_tree_ast(ch) for ch in val])
+
+
 def count_bool(index_dir: str, tree) -> pa.Table:
     """Arbitrary nested boolean query tree over the postings — the ES
     ``bool`` query in filter context (AND = ``must``/``filter``, OR =
-    ``should``, NOT = ``must_not``), evaluated as set algebra on sorted
-    doc-id arrays.  Grammar: a node is a term string, ``{"and": [...]}``,
-    ``{"or": [...]}``, or ``{"not": node}`` (allowed only inside an
-    ``and``, ES's filter-context rule — a bare NOT would need the full
-    live universe).
+    ``should``, NOT = ``must_not``).  Grammar: a node is a term string,
+    ``{"and": [...]}``, ``{"or": [...]}``, or ``{"not": node}`` (allowed
+    only inside an ``and``, ES's filter-context rule — a bare NOT would
+    need the full live universe; ``ValueError`` otherwise).
 
-    One shard-pruned posting read per distinct leaf term; a leaf is a
-    ``live`` mask over the doc ordinals and every operator a boolean
-    AND / OR / AND-NOT of masks.  -> one row (n_docs)."""
-
-    def leaves(node, acc):
-        if isinstance(node, str):
-            acc.add(node)
-        elif isinstance(node, dict):
-            (op, val), = node.items()
-            if op == "not":
-                leaves(val, acc)
-            else:
-                for ch in val:
-                    leaves(ch, acc)
-        else:
-            raise ValueError(f"bad node {node!r}")
-        return acc
-
-    eng = SearchEngine(index_dir)
-    terms = sorted(leaves(tree, set()))
-    mask_of = {t: eng._hits([t]) > 0 for t in terms}
-
-    def ev(node) -> np.ndarray:
-        if isinstance(node, str):
-            return mask_of[node]
-        (op, val), = node.items()
-        if op == "or":
-            return np.logical_or.reduce([ev(ch) for ch in val]
-                                        + [np.zeros(eng.docs.size, bool)])
-        if op == "and":
-            pos = [ch for ch in val
-                   if not (isinstance(ch, dict) and "not" in ch)]
-            neg = [ch["not"] for ch in val
-                   if isinstance(ch, dict) and "not" in ch]
-            if not pos:
-                raise ValueError("pure-NOT 'and' needs >= 1 positive leg")
-            acc = ev(pos[0])
-            for ch in pos[1:]:
-                acc = acc & ev(ch)
-            for ch in neg:
-                acc = acc & ~ev(ch)
-            return acc
-        raise ValueError(f"'not' only allowed inside 'and' (got {op})")
-
-    return pa.table({"n_docs": pa.array([int(np.count_nonzero(ev(tree)))],
+    The tree is evaluated as a ``query_string`` AST by the one boolean
+    mask evaluator, ``dsl._qs_match_mask``: a leaf is the ``live`` mask
+    of its term's doc ordinals and every operator a boolean AND / OR /
+    AND-NOT of masks.  -> one row (n_docs)."""
+    from onestools_eventlog_ray.pipelines.dsl import _qs_match_mask
+    match = _qs_match_mask(_bool_tree_ast(tree), SearchEngine(index_dir),
+                           None, {})
+    return pa.table({"n_docs": pa.array([int(np.count_nonzero(match))],
                                         pa.int64())})
 
 
@@ -2161,9 +2079,10 @@ def msearch(eng: SearchEngine, queries: list[list[str]],
     The reference ships query batches to ElasticSearch's ``_msearch``
     bulk endpoint; here the batching win is explicit: Q queries over T
     distinct terms cost max(1, shards-touched) parquet reads instead of
-    Q x per-query reads.  At 100 TB the same union-load runs inside
-    each ``QueryScorer`` actor (``score_queries``), so a batch of
-    queries per actor call amortizes shard reads identically.
+    Q x per-query reads.  The distributed batch stage
+    (``score_queries``) does not union-load: each task scores its rows
+    one by one through its worker's cached engine, whose term and
+    weight caches carry shard reads over from earlier rows and calls.
 
     -> (query_id, rank, doc_id, score_e6); per query ranked on the
     quantized integer score with (e6 desc, doc_id asc) tie-break, len

@@ -83,23 +83,11 @@ def test_topk_rank_identical_to_oracle(built, small_corpus, oracle):
 
 
 def test_ray_batch_query_stage(built, small_corpus, oracle):
+    """The batch stage (tasks over a per-worker engine) == oracle ranks,
+    and bit-identical (doc ids and scores) to the driver-side engine."""
     index_dir, _ = built
     queries = synth.reference_queries(small_corpus, n_queries=12)
-    out = score_queries(index_dir, queries, concurrency=(1, 2)).take_all()
-    by_q: dict[int, list] = {}
-    for r in sorted(out, key=lambda r: (r["query_id"], r["rank"])):
-        by_q.setdefault(r["query_id"], []).append((r["doc_id"], r["score"]))
-    for q in queries:
-        want = oracle.search(q["terms"], q["k"])
-        got = by_q.get(q["query_id"], [])
-        assert [d for d, _ in got] == [d for d, _ in want]
-
-
-def test_ray_batch_query_stage_tasks_impl(built, small_corpus, oracle):
-    """Stateless-task scorer (per-worker engine cache) == actor pool."""
-    index_dir, _ = built
-    queries = synth.reference_queries(small_corpus, n_queries=12)
-    out = score_queries(index_dir, queries, impl="tasks").take_all()
+    out = score_queries(index_dir, queries).take_all()
     by_q: dict[int, list] = {}
     for r in sorted(out, key=lambda r: (r["query_id"], r["rank"])):
         by_q.setdefault(r["query_id"], []).append((r["doc_id"], r["score"]))
@@ -108,8 +96,53 @@ def test_ray_batch_query_stage_tasks_impl(built, small_corpus, oracle):
         want = oracle.search(q["terms"], q["k"])
         got = by_q.get(q["query_id"], [])
         assert [d for d, _ in got] == [d for d, _ in want]
-        # bit-identical to the driver-side engine (same code path)
         assert got == eng.search(q["terms"], q["k"])
+
+
+def test_ray_batch_query_stage_k_default_for_dataset(built):
+    """A Dataset row with no ``k`` is cut at the caller's ``k``."""
+    import ray.data
+    index_dir, _ = built
+    terms = ["def", "import"]
+    ds = ray.data.from_items([{"query_id": 0, "terms": terms}])
+    rows = score_queries(index_dir, ds, k=3).take_all()
+    assert [(r["doc_id"], r["score"]) for r in
+            sorted(rows, key=lambda r: r["rank"])] \
+        == SearchEngine(index_dir).search(terms, 3)
+
+
+@pytest.mark.parametrize("columns", [None, ["doc_id", "lang"],
+                                     ["doc_id", "content"]])
+def test_empty_fetch_has_the_requested_schema(built, columns):
+    """Nothing fetched gives the requested docstore columns, empty and
+    typed, so a zero-hit ``search_with_docs`` has the schema of a hit."""
+    index_dir, _ = built
+    eng = SearchEngine(index_dir)
+    one = eng.fetch_docs(eng.docs[:1], columns)
+    none = eng.fetch_docs([], columns)
+    assert (one.num_rows, none.num_rows) == (1, 0)
+    assert none.schema == one.schema
+    assert eng.search_with_docs(["zzz_nohit_0"], 5, columns).schema \
+        == eng.search_with_docs(["def"], 5, columns).schema
+
+
+def test_count_bool_edge_trees(built):
+    """An empty OR matches nothing, also under AND and OR; NOT under OR,
+    a pure-NOT AND and a bare NOT raise ValueError."""
+    from onestools_eventlog_ray.pipelines.query import count_bool
+    index_dir, _ = built
+
+    def n(tree):
+        return count_bool(index_dir, tree)["n_docs"][0].as_py()
+    n_def = int((SearchEngine(index_dir)._hits(["def"]) > 0).sum())
+    assert n_def > 0
+    assert n({"or": []}) == 0
+    assert n({"and": ["def", {"or": []}]}) == 0
+    assert n({"or": ["def", {"or": []}]}) == n_def
+    for bad in ({"or": ["def", {"not": "import"}]}, {"and": [{"not": "def"}]},
+                {"not": "def"}, {"xor": ["def"]}, 7):
+        with pytest.raises(ValueError):
+            n(bad)
 
 
 def test_zero_hit_query(built):

@@ -107,8 +107,6 @@ def _want_fetch(full: pa.Table, deleted, req, columns) -> pa.Table:
         if d in live and d not in seen:
             seen.add(d)
             rows += [i for i, x in enumerate(ids) if x == d]
-    if not rows:
-        return pa.table({"doc_id": pa.array([], pa.int64())})
     out = full.take(pa.array(rows, pa.int64()))
     return out if columns is None else out.select(columns)
 
@@ -132,8 +130,7 @@ def test_fetch_docs_matches_brute_force(case, data):
             columns = data.draw(st.sampled_from(_COLUMNS))
             got = eng.fetch_docs(req, columns)
             assert got.equals(_want_fetch(full, deleted, req, columns))
-        assert eng.fetch_docs([]).equals(
-            pa.table({"doc_id": pa.array([], pa.int64())}))
+        assert eng.fetch_docs([]).equals(full.schema.empty_table())
         assert eng.fetch_docs(np.asarray(pool[::-1]), ["doc_id"]).equals(
             _want_fetch(full, deleted, pool[::-1], ["doc_id"]))
         eng.close()

@@ -113,3 +113,28 @@ def test_where_expr_is_the_one_where_builder():
                     and "tuple" in _names(node.args[1]):
                 found.append((path, scope))
     assert found == [("pipelines/query.py", "where_expr")]
+
+
+def test_one_per_worker_engine_cache():
+    """The batch query stages share ``runtime.worker_engine``: no stage
+    module keeps its own ``*_CACHE`` dict, the actor-pool scorer and its
+    ``score_queries`` options are gone, and ``count_bool`` evaluates
+    through ``dsl._qs_match_mask`` with no private evaluator."""
+    import inspect
+    from onestools_eventlog_ray.pipelines import ann, phrase
+    for mod in (query, phrase, ann):
+        tree = ast.parse(inspect.getsource(mod))
+        caches = [t.id for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  for t in (node.targets if isinstance(node, ast.Assign)
+                            else [node.target])
+                  if isinstance(t, ast.Name) and t.id.endswith("_CACHE")
+                  and isinstance(node.value, ast.Dict)]
+        assert caches == [], mod.__name__
+    assert not hasattr(query, "QueryScorer")
+    assert not hasattr(query, "_engine_for")
+    params = inspect.signature(query.score_queries).parameters
+    assert "impl" not in params and "concurrency" not in params
+    fn = ast.parse(inspect.getsource(query.count_bool)).body[0]
+    assert not [n for n in ast.walk(fn) if n is not fn and isinstance(
+        n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]

@@ -1033,49 +1033,119 @@ def test_ann_generation_crash_resume_idempotent(ray_session, tmp_path):
                                                            hamming=1)
 
 
-def test_ann_serving_cache_sees_mutations(ray_session, tmp_path):
-    """score_ann_queries workers cache AnnIndex per process; a delete
-    between calls must be visible on the next batch (mtime-keyed
-    cache), not answered from the stale snapshot."""
-    from onestools_eventlog_ray.pipelines.ann import (build_ann_index,
-                                                      delete_ann_vecs,
-                                                      score_ann_queries)
-    rng = np.random.default_rng(103)
-    vecs = rng.normal(0, 1, size=(120, 8))
-    d = str(tmp_path / "annsrv")
-    build_ann_index(ray.data.from_arrow(_emb_table(range(120), vecs)),
-                    d, dim=8, nbits=3, seed=5)
-    q = [{"query_id": 0, "embedding": vecs[7].tolist(), "exclude_id": 7}]
-    r1 = score_ann_queries(d, q, k=5, hamming=1).take_all()
-    top = int(r1[0]["vec_id"])
-    delete_ann_vecs(d, {top})
+_PHRASE = ["vbf1df2d054eb", "v34faba708a09"]
+
+
+@pytest.mark.parametrize("stage", ["text", "phrase", "ann"])
+def test_serving_cache_sees_deletes(ray_session, tmp_path, small_corpus_dir,
+                                    stage):
+    """Each batch query stage keeps one engine per worker process; a
+    delete between two calls must drop the deleted id from the next
+    batch, not answer from the stale snapshot, and keep the rest in
+    order."""
     import time
-    time.sleep(0.05)                  # distinct mtime granularity
-    r2 = score_ann_queries(d, q, k=5, hamming=1).take_all()
-    assert top not in {int(r["vec_id"]) for r in r2}
-    survivors = [int(r["vec_id"]) for r in r1 if int(r["vec_id"]) != top]
-    assert [int(r["vec_id"]) for r in r2][:len(survivors)] == survivors
-
-
-def test_text_serving_cache_sees_deletes(ray_session, tmp_path_factory,
-                                         small_corpus_dir):
-    """score_queries workers cache SearchEngine per process; a tombstone
-    added between calls must mask the doc on the next batch."""
     from onestools_eventlog_ray.config import EngineConfig
+    d = str(tmp_path / "srv")
+    if stage == "ann":
+        from onestools_eventlog_ray.pipelines.ann import (build_ann_index,
+                                                          delete_ann_vecs,
+                                                          score_ann_queries)
+        vecs = np.random.default_rng(103).normal(0, 1, size=(120, 8))
+        build_ann_index(ray.data.from_arrow(_emb_table(range(120), vecs)),
+                        d, dim=8, nbits=3, seed=5)
+        q = [{"query_id": 0, "embedding": vecs[7].tolist(), "exclude_id": 7}]
+
+        def run():
+            return [int(r["vec_id"]) for r in
+                    score_ann_queries(d, q, k=5, hamming=1).take_all()]
+
+        def delete(i):
+            delete_ann_vecs(d, {i})
+            time.sleep(0.05)              # distinct mtime granularity
+    else:
+        from onestools_eventlog_ray.pipelines.build import build_index
+        from onestools_eventlog_ray.state.tombstones import delete_docs
+        cfg = EngineConfig(num_partitions=8)
+        build_index(small_corpus_dir, d, cfg=cfg)
+
+        def delete(i):
+            delete_docs(d, [i])
+        if stage == "text":
+            from onestools_eventlog_ray.pipelines.query import score_queries
+            q = [{"query_id": 0, "terms": ["def", "import"], "k": 5}]
+
+            def run():
+                return [int(r["doc_id"]) for r in
+                        score_queries(d, q).take_all()]
+        else:
+            from onestools_eventlog_ray.pipelines.phrase import (
+                build_position_index, score_phrase_queries)
+            build_position_index(small_corpus_dir, d, cfg=cfg)
+            q = [{"query_id": 0, "terms": _PHRASE}]
+
+            def run():
+                return [int(r["doc_id"]) for r in
+                        score_phrase_queries(d, q).take_all()]
+    r1 = run()
+    delete(r1[0])
+    r2 = run()
+    assert r1[0] not in r2
+    assert r2[:len(r1) - 1] == r1[1:]
+
+
+def test_worker_engine_reopens_on_index_changes(ray_session, tmp_path,
+                                                small_corpus_dir,
+                                                monkeypatch):
+    """The stages' one per-worker cache, driven in-process through the
+    three batch bodies: the same engine while the watched paths are
+    unchanged, a new one after a tombstone append (text, phrase), a
+    sidecar rebuild (phrase) and an ANN delete (ANN), and only for the
+    engines that watch the changed path."""
+    from onestools_eventlog_ray.config import EngineConfig
+    from onestools_eventlog_ray.functions import runtime
+    from onestools_eventlog_ray.pipelines import ann, phrase, query
     from onestools_eventlog_ray.pipelines.build import build_index
-    from onestools_eventlog_ray.pipelines.query import score_queries
     from onestools_eventlog_ray.state.tombstones import delete_docs
-    index_dir = str(tmp_path_factory.mktemp("srv_idx"))
-    build_index(small_corpus_dir, index_dir,
-                cfg=EngineConfig(num_partitions=8))
-    q = [{"query_id": 0, "terms": ["def", "import"], "k": 5}]
-    r1 = score_queries(index_dir, q).take_all()
-    top = int(r1[0]["doc_id"])
-    delete_docs(index_dir, [top])
-    r2 = score_queries(index_dir, q).take_all()
-    assert top not in {int(r["doc_id"]) for r in r2}
-    survivors = [int(r["doc_id"]) for r in r1 if int(r["doc_id"]) != top]
-    assert [int(r["doc_id"]) for r in r2][:len(survivors)] == survivors
+    # keep the test process's Arrow thread pools as they are
+    monkeypatch.setattr(runtime, "pin_worker_threads", lambda n=1: None)
+    d = str(tmp_path / "idx")
+    build_index(small_corpus_dir, d, cfg=EngineConfig(num_partitions=8))
+    phrase.build_position_index(small_corpus_dir, d,
+                                cfg=EngineConfig(num_partitions=8))
+    vecs = np.random.default_rng(7).normal(0, 1, size=(60, 8))
+    ann.build_ann_index(ray.data.from_arrow(_emb_table(range(60), vecs)),
+                        d, dim=8, nbits=3, seed=5)
+    terms = pa.table({"query_id": [0], "terms": [_PHRASE]})
+    opens = (query.SearchEngine, phrase.PhraseEngine, ann.AnnIndex)
+
+    def engines():
+        query._score_batch(terms, index_dir=d, k=3, tie="float")
+        phrase._phrase_batch(terms, index_dir=d)
+        ann._ann_batch(pa.table({"query_id": [0],
+                                 "embedding": [vecs[0].tolist()]}),
+                       index_dir=d, k=3, hamming=1)
+        return [runtime._ENGINES[(fn, d)][1] for fn in opens]
+
+    def same(a, b):
+        return [x is y for x, y in zip(a, b)]
+
+    try:
+        e0 = engines()
+        assert same(engines(), e0) == [True, True, True]
+        delete_docs(d, [int(query.SearchEngine(d).docs[0])])
+        e1 = engines()
+        assert same(e1, e0) == [False, False, True]
+        assert same(engines(), e1) == [True, True, True]
+        # a rebuild into more partitions adds shard files to the listing
+        phrase.build_position_index(small_corpus_dir, d,
+                                    cfg=EngineConfig(num_partitions=16))
+        e2 = engines()
+        assert same(e2, e1) == [True, False, True]
+        ann.delete_ann_vecs(d, {3})
+        assert same(engines(), e2) == [True, True, False]
+    finally:
+        for fn in opens:
+            runtime._ENGINES.pop((fn, d), None)
 
 
 def test_ann_delete_tombstones(ray_session, tmp_path):
