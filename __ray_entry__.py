@@ -229,10 +229,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
     def bm25_sharded_serving(sf_dir):
         """Doc-sharded scatter-gather serving (`pipelines/serving.py`):
         route docs to 4 hash shards, one independent index build per
-        shard, one engine ACTOR per shard, exact BM25 (global df read
-        once at tier open -> global idf -> one scatter of score under
-        global stats -> O(k)-per-shard gather) — the ES data-tier shape
-        (query_then_fetch) for an index bigger than one node.
+        shard, one SearchEngine ACTOR per shard, exact BM25 (global N,
+        avgdl and df read once at tier open and set on every shard
+        engine -> one scatter of the shards' own search -> O(k)-per-shard
+        gather) — the ES data-tier shape (query_then_fetch) for an index
+        bigger than one node.
         Rank-AND-score identical to the monolithic index, so the oracle
         is the very same SQL as bm25_topk."""
         from onestools_eventlog_ray.config import EngineConfig
@@ -441,12 +442,15 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
     def bm25_incremental(sf_dir):
         """Two-generation incremental index over a doc_id split of the
-        documents table; must give the SAME ranking as the single-build
-        oracle (global stats compose exactly — pipelines/incremental.py)."""
+        documents table, opened as ONE SearchEngine over the root (its
+        leaves are the generations); must give the SAME ranking as the
+        single-build oracle (global stats compose exactly —
+        pipelines/incremental.py)."""
         import duckdb
         from onestools_eventlog_ray.config import EngineConfig
         from onestools_eventlog_ray.pipelines.incremental import (
-            GenerationalSearchEngine, add_generation, list_generations)
+            add_generation, list_generations)
+        from onestools_eventlog_ray.pipelines.query import SearchEngine
         from onestools_eventlog_ray.sources.corpus import DOCUMENTS_SPEC as DS
         root = _index_dir_for(sf_dir) + "_gens"
         if len(list_generations(root)) < 2:
@@ -460,7 +464,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                         f"TO '{half_dir}/half{i}.parquet' (FORMAT PARQUET)")
                 add_generation(f"{half_dir}/half{i}.parquet", root, spec=DS,
                                cfg=EngineConfig(num_partitions=16))
-        eng = GenerationalSearchEngine(root)
+        eng = SearchEngine(root)
         hits = eng.search(_BM25_TERMS, k=10, tie="e6")
         return _hits_to_table(hits)
 

@@ -63,11 +63,10 @@ def main(argv: list[str] | None = None) -> int:
     b.add_argument("--spec", choices=sorted(SPECS), default="code")
 
     s = sub.add_parser("search", help="BM25 top-k query")
-    s.add_argument("--index", required=True)
+    s.add_argument("--index", required=True,
+                   help="an index dir or a root of generations")
     s.add_argument("--terms", required=True, help="space-separated terms")
     s.add_argument("-k", type=int, default=10)
-    s.add_argument("--generational", action="store_true",
-                   help="treat --index as a generation root")
 
     sb = sub.add_parser("shard-build",
                         help="build a doc-sharded deployment (one index "
@@ -199,14 +198,10 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.cmd == "search":
-        from onestools_eventlog_ray.pipelines.incremental import \
-            GenerationalSearchEngine
         from onestools_eventlog_ray.pipelines.query import SearchEngine
         from onestools_eventlog_ray.functions.analyzer import tokenize_py
         terms = tokenize_py(args.terms)     # analyze the query like the corpus
-        eng = GenerationalSearchEngine(args.index) if args.generational \
-            else SearchEngine(args.index)
-        hits = eng.search(terms, args.k)
+        hits = SearchEngine(args.index).search(terms, args.k)
         for rank, (doc_id, score) in enumerate(hits, 1):
             print(json.dumps({"rank": rank, "doc_id": doc_id, "score": score}))
         return 0

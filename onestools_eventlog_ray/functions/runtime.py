@@ -40,10 +40,10 @@ def pin_worker_threads(n: int = 1) -> None:
 
 
 def _stamp(path: str):
-    """A file's mtime, a directory's sorted listing, None when missing."""
+    """A file's ns mtime, a directory's sorted listing, None if missing."""
     if os.path.isdir(path):
         return tuple(sorted(os.listdir(path)))
-    return os.path.getmtime(path) if os.path.exists(path) else None
+    return os.stat(path).st_mtime_ns if os.path.exists(path) else None
 
 
 def worker_engine(open_fn, index_dir: str, watch: tuple[str, ...]):

@@ -16,14 +16,10 @@ and df, all of which are sums over generations; postings store raw
 (tf, dl) so per-doc weights are recomputed under the global stats —
 the merged engine is therefore rank-identical to a single full build
 (tests/test_incremental.py proves it against the brute-force oracle).
-The generational engine scores with the same TAAT kernel as a single
-index, feeding it every generation's postings under the global stats.
-
-``GenerationalSearchEngine.score`` is the one scorer for any set of
-generations under caller-supplied stats: ``search`` calls it with the
-engine's own stats, and the doc-sharded tier (``pipelines/serving.py``)
-runs one engine per shard as its shard actor and calls it with the
-tier's global stats.
+``query.SearchEngine(root)`` opens a root as one engine over its
+generations' leaves (every query family, the weight cache included),
+and the doc-sharded tier (``pipelines/serving.py``) runs one such
+engine per shard under the tier's global stats.
 """
 
 from __future__ import annotations
@@ -34,9 +30,8 @@ import re
 import numpy as np
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions.bm25 import (accumulate, doc_mask,
-                                                   idf as idf_fn, pick_topk,
-                                                   term_weights)
+# unused here: perfbench/layers.py patches this module's pick_topk
+from onestools_eventlog_ray.functions.bm25 import pick_topk  # noqa: F401
 from onestools_eventlog_ray.pipelines.build import build_index
 from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.sources.corpus import CorpusSpec, CODE_CORPUS_SPEC
@@ -272,11 +267,10 @@ def compact_generations(index_root: str, out_dir: str,
     spec = CorpusSpec(content_col="content", id_col="doc_id",
                       key_cols=("doc_id",), meta_cols=meta_cols)
     # compaction PHYSICALLY drops tombstoned docs (the segment-merge
-    # analog of ES soft-deletes): root + per-generation tombstones are
-    # excluded at the read, and the compacted index carries none
-    from onestools_eventlog_ray.state.tombstones import load_tombstones
-    deleted = np.unique(np.concatenate(
-        [load_tombstones(index_root)] + [load_tombstones(g) for g in gens]))
+    # analog of ES soft-deletes): the docs the root's engine masks (root
+    # + per-generation tombstones) are excluded at the read, and the
+    # compacted index carries none
+    deleted = SearchEngine(index_root).deleted
     report = build_index(part_files, out_dir, spec=spec, cfg=cfg,
                          exclude_doc_ids=deleted if deleted.size else None)
     report["n_generations"] = len(gens)
@@ -284,112 +278,8 @@ def compact_generations(index_root: str, out_dir: str,
     return report
 
 
-class GenerationalSearchEngine:
-    """Exact BM25 over generations combined (global N/avgdl/df).
-
-    ``gen_dirs`` picks a subset of the root's generations (default: all
-    of them).  The root's tombstones apply to every picked generation,
-    unioned with each generation's own."""
-
-    def __init__(self, index_root: str, gen_dirs: list[str] | None = None):
-        from onestools_eventlog_ray.state.tombstones import load_tombstones
-        self.gen_dirs = list_generations(index_root)
-        if gen_dirs is not None:
-            unknown = set(gen_dirs) - set(self.gen_dirs)
-            if unknown:
-                raise ValueError(f"not generations of {index_root}: "
-                                 f"{sorted(unknown)}")
-            self.gen_dirs = [d for d in self.gen_dirs if d in gen_dirs]
-        if not self.gen_dirs:
-            raise FileNotFoundError(f"no generations under {index_root}")
-        self.engines = [SearchEngine(d) for d in self.gen_dirs]
-        root_del = load_tombstones(index_root)
-        per_gen = [e.deleted for e in self.engines if e.deleted.size]
-        self.deleted = np.unique(np.concatenate([root_del] + per_gen)) \
-            if per_gen or root_del.size else root_del
-        # the union of the generations' doc_ids is the ordinal space
-        self.docs = np.unique(np.concatenate([e.docs for e in self.engines]))
-        self.live = ~doc_mask(self.docs, self.deleted)
-        self.N = sum(e.N for e in self.engines)
-        self.total_tokens = sum(e.avgdl * e.N for e in self.engines)
-        self.avgdl = self.total_tokens / self.N if self.N else 0.0
-        e0 = self.engines[0]
-        self.k1, self.b = e0.k1, e0.b
-
-    def close(self) -> None:
-        """Close every generation's open shard files."""
-        for e in self.engines:
-            e.close()
-
-    def df(self, term: str) -> int:
-        total = 0
-        for e in self.engines:
-            hit = e.load_terms([term]).get(term)
-            if hit:
-                total += hit[0]
-        return total
-
-    def stats(self) -> tuple[int, float, dict[str, int]]:
-        """(N, total tokens, {term: df}) over the picked generations.
-        Reads only the shards' ``term`` and ``df`` columns, through the
-        open shard handles that scoring reads postings from, so the df
-        table and the postings come from one file snapshot.  A missing
-        partition file is skipped, as ``load_terms`` skips it."""
-        df: dict[str, int] = {}
-        for e in self.engines:
-            for pkey in range(e.P):
-                tbl = e._shards.read(pkey, None, ["term", "df"])
-                if tbl is None:
-                    continue
-                for t, n in zip(tbl["term"].to_pylist(),
-                                tbl["df"].to_pylist()):
-                    df[t] = df.get(t, 0) + n
-        return self.N, self.total_tokens, df
-
-    def score(self, uniq: list[str], idf_map: dict, avgdl: float, k: int,
-              tie: str) -> tuple[np.ndarray, np.ndarray]:
-        """Local top-k under the caller's stats: ``uniq`` is the sorted
-        unique query terms, ``idf_map`` their idf (a term without one is
-        skipped), ``avgdl`` the collection's.  -> (doc_ids, scores),
-        cut under the same total order that merges several engines'
-        top-k, so the union of disjoint engines' cuts holds the global
-        top-k."""
-        return self._score([e.load_terms(uniq) for e in self.engines],
-                           uniq, idf_map, avgdl, k, tie)
-
-    def _score(self, per_gen: list[dict], uniq: list[str], idf_map: dict,
-               avgdl: float, k: int, tie: str):
-        # float64 accumulation order is terms major, generations minor:
-        # a single index's order over the union of the documents
-        parts = []
-        for t in uniq:
-            if t not in idf_map:
-                continue
-            for loaded in per_gen:
-                if t in loaded:
-                    ids, w = term_weights(loaded[t][1], idf_map[t], avgdl,
-                                          self.k1, self.b)
-                    parts.append((np.searchsorted(self.docs, ids), w))
-        ords, scores = accumulate(parts, self.live)
-        uids = self.docs[ords]
-        idx = pick_topk(tie)(scores, uids, k)
-        return uids[idx], scores[idx]
-
-    def search(self, terms: list[str], k: int = 10,
-               tie: str = "float") -> list[tuple[int, float]]:
-        """Top-k under this engine's own global stats; identical
-        semantics to a single-index build over the union of the
-        documents."""
-        uniq = sorted(set(terms))
-        per_gen = [e.load_terms(uniq) for e in self.engines]
-        idf_map = {}
-        for t in uniq:
-            df = sum(loaded[t][0] for loaded in per_gen if t in loaded)
-            if df:
-                idf_map[t] = idf_fn(self.N, df)
-        uids, scores = self._score(per_gen, uniq, idf_map, self.avgdl, k,
-                                   tie)
-        return list(zip(uids.tolist(), scores.tolist()))
+# a name, not a class: perfbench/run.py's traced serving op imports it
+GenerationalSearchEngine = SearchEngine
 
 
 def reindex(src_index: str, out_dir: str, where: dict | None = None,

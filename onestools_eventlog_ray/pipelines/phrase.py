@@ -224,10 +224,11 @@ def _phrase_batch(batch: pa.Table, *, index_dir: str) -> pa.Table:
                                                           worker_engine)
     from onestools_eventlog_ray.state.tombstones import tombstone_dir
     pin_worker_threads()
-    # an in-place sidecar rebuild rewrites the positions dir and a
-    # delete appends a tombstone part file
+    # a sidecar rebuild rewrites _meta.json (and may change the
+    # positions listing) and a delete appends a tombstone part file
+    pos_dir = os.path.join(index_dir, "positions")
     eng = worker_engine(PhraseEngine, index_dir,
-                        (os.path.join(index_dir, "positions"),
+                        (pos_dir, os.path.join(pos_dir, "_meta.json"),
                          tombstone_dir(index_dir)))
     qids, docs, matches = [], [], []
     for qid, terms in zip(batch["query_id"].to_pylist(),

@@ -87,7 +87,8 @@ def _verify_refill(eng, ids: np.ndarray, scores: np.ndarray, where: dict,
 
 
 class DocStore:
-    """The docstore parts of one index, each opened once as a
+    """The docstore parts of one or more index dirs (a generational
+    root's picked generations), each opened once as a
     ``pq.ParquetFile``: the stored-fields reader of
     :class:`SearchEngine`, like the ES node's open segments
     (``ElasticSearchStorage.cs:245-256``).
@@ -95,18 +96,20 @@ class DocStore:
     At open each part's ``doc_id`` column is read through its handle.
     ``docs`` is their sorted distinct doc_ids (the engine's ordinals);
     each ordinal keeps its rows' positions in the parts concatenated in
-    name order, which the row-group row offsets map to (part, row group,
-    row).  A doc_id held by two parts keeps both rows, in part order.
+    dir order, then name order, which the row-group row offsets map to
+    (part, row group, row).  A doc_id held by two parts keeps both
+    rows, in part order.
 
     The handles are a snapshot: a part deleted or replaced on disk after
     open is still read as it was opened.  After :meth:`close` a read
     raises (pyarrow's ``ArrowInvalid``, a ``ValueError``) rather than
     reopen parts that may have changed; open a new engine instead."""
 
-    def __init__(self, index_dir: str):
+    def __init__(self, index_dirs: list[str]):
         import glob
-        self._files = [pq.ParquetFile(f) for f in sorted(glob.glob(
-            os.path.join(index_dir, "docstore", "*.parquet")))]
+        self._files = [pq.ParquetFile(f) for d in index_dirs
+                       for f in sorted(glob.glob(
+                           os.path.join(d, "docstore", "*.parquet")))]
         ids = np.concatenate([np.empty(0, np.int64)] + [
             pf.read(columns=["doc_id"], use_threads=False)["doc_id"]
             .to_numpy().astype(np.int64) for pf in self._files])
@@ -167,27 +170,39 @@ class DocStore:
 
 
 class SearchEngine:
-    """BM25 over one index directory, with open shards and posting
-    caches — the stateful-scorer analog of the reference's sticky ES
-    node state (``ElasticSearchStorage.cs:245-256``).
+    """BM25 over one index directory or a generational root, with open
+    shards and posting caches — the stateful-scorer analog of the
+    reference's sticky ES node state (``ElasticSearchStorage.cs:245-256``).
 
-    At open it opens the docstore (:class:`DocStore`), whose sorted
-    distinct doc_ids are ``docs``, and builds the ``live`` mask from its
-    tombstones.  ``_cache`` holds raw ``(df, blob)`` per term, None for
-    a term with no posting;
-    ``_w_cache`` holds each hot term's ``(doc ordinals, BM25 weights)``,
-    an ordinal being the doc's position in ``docs``, so a warm query is
-    one dense accumulate and a top-k cut.
+    A ``path`` with ``stats.json`` is one index, and ``engines`` is
+    ``[self]``.  Any other ``path`` is a root of generations
+    (``pipelines.incremental``): ``engines`` holds one leaf engine per
+    generation of ``gen_dirs`` (default all), scored as one index over
+    the union of their docs, as Lucene's composite reader scores its
+    segment leaves.  N, ``total_tokens`` and df are sums over the
+    leaves, ``avgdl`` their N-weighted mean, and ``k1``/``b`` the first
+    leaf's; :meth:`use_stats` swaps in a caller's global stats.
+
+    At open it opens the docstore of every picked dir
+    (:class:`DocStore`), whose sorted distinct doc_ids are ``docs``, and
+    builds the ``live`` mask from the tombstones of ``path`` and of each
+    leaf.  A leaf's ``_cache`` holds raw ``(df, blob)`` per term, None
+    for a term with no posting; ``_w_cache`` holds each hot term's
+    ``(doc ordinals, BM25 weights)``, an ordinal being the doc's
+    position in ``docs``, so a warm query is one dense accumulate and a
+    top-k cut.
 
     One lookup rule serves every query family:
 
-    - a term's doc ordinals come from the weight cache
+    - a term's postings come from every leaf in generation order
+      (:meth:`_posting`) as ONE part, so sums run terms-major as over
+      a single index; its doc ordinals come from the weight cache
       (:meth:`_term_parts`), and set algebra over terms (must, should,
       must_not, every-term, minimum-should-match counts) is boolean or
       ``np.bincount`` masks over the ordinals (:meth:`_hits`);
     - a caller that needs tf or dl gets ``(df, ordinals, tfs, dls)``
       from :meth:`_term_postings`, the only decode besides the cache
-      fill;
+      fill, and one that needs df alone gets :meth:`df_of`;
     - tombstones are the ``live`` mask; doc_ids from outside the
       postings (requested ids, docstore reads) pass through it too
       (:meth:`fetch_docs`, :meth:`allowed_doc_ids`).
@@ -199,41 +214,76 @@ class SearchEngine:
     are opened at engine open (stored fields, metadata predicates), each
     term shard at its first probe (term loads, prefix expansion).  A file
     replaced or deleted on disk under an open engine (a rebuild's atomic
-    rename or its wipe of ``docstore/``) is not seen; the engine answers
-    from the files it opened, and cached terms from its caches.  Open a
-    new engine to see a rewritten index."""
+    rename or its wipe of ``docstore/``), or a generation added after
+    open, is not seen; the engine answers from the files it opened, and
+    cached terms from its caches.  Open a new engine to see a rewritten
+    index."""
 
-    def __init__(self, index_dir: str):
-        self.index_dir = index_dir
-        stats = ckpt.read_stats(index_dir)
-        # refuse to serve an index laid out under different hashing/codec
-        # rules — a wrong-layout read probes the wrong shard and silently
-        # returns empty/partial results (round-2 ADVICE, medium)
-        ckpt.check_layout(stats, index_dir)
-        # the docstore's sorted doc_ids: a posting's doc ordinal is its
+    def __init__(self, path: str, gen_dirs: list[str] | None = None):
+        from onestools_eventlog_ray.state.tombstones import load_tombstones
+        self.index_dir = path
+        self._leaves: list[SearchEngine] = []
+        if os.path.exists(ckpt.stats_path(path)):
+            if gen_dirs is not None:
+                raise ValueError(f"{path} is an index, not a root of "
+                                 "generations")
+            dirs = [path]
+            stats = ckpt.read_stats(path)
+            # a wrong-layout read probes the wrong shard and silently
+            # returns partial results (round-2 ADVICE, medium)
+            ckpt.check_layout(stats, path)
+            self.N = stats["n_docs"]
+            self.avgdl = stats["avgdl"]
+            # exact corpus token count (Σ dl) — the collection-model
+            # denominator for the LM/DFI similarity modules (search_lm)
+            self.total_tokens = int(stats.get("total_tokens", 0))
+            self.P = stats["num_partitions"]
+            bm = stats["config"]["bm25"]
+            self.k1, self.b = bm["k1"], bm["b"]
+            self._shards = TermShards(os.path.join(path, "shards",
+                                                   "part-{:05d}.parquet"))
+            self._cache: OrderedDict[str, tuple[int, bytes] | None] = \
+                OrderedDict()
+        else:
+            from onestools_eventlog_ray.pipelines.incremental import \
+                list_generations
+            dirs = list_generations(path)
+            if gen_dirs is not None:
+                unknown = set(gen_dirs) - set(dirs)
+                if unknown:
+                    raise ValueError(f"not generations of {path}: "
+                                     f"{sorted(unknown)}")
+                dirs = [d for d in dirs if d in gen_dirs]
+            if not dirs:
+                raise FileNotFoundError(f"no index or generations under "
+                                        f"{path}")
+            self._leaves = [SearchEngine(d) for d in dirs]
+            self.N = sum(e.N for e in self._leaves)
+            self.avgdl = sum(e.avgdl * e.N for e in self._leaves) / self.N \
+                if self.N else 0.0
+            self.total_tokens = sum(e.total_tokens for e in self._leaves)
+            self.k1, self.b = self._leaves[0].k1, self._leaves[0].b
+        # the docstores' sorted doc_ids: a posting's doc ordinal is its
         # position here
-        self._docstore = DocStore(index_dir)
+        self._docstore = DocStore(dirs)
         self.docs = self._docstore.docs
         # soft-deleted doc_ids (sorted): masked from every result path;
         # stats stay those of the built index (ES soft-delete semantics)
-        from onestools_eventlog_ray.state.tombstones import load_tombstones
-        self.deleted = load_tombstones(index_dir)
-        self.N = stats["n_docs"]
-        self.avgdl = stats["avgdl"]
-        # exact corpus token count (Σ dl) — the collection-model
-        # denominator for the LM/DFI similarity modules (search_lm)
-        self.total_tokens = int(stats.get("total_tokens", 0))
-        self.P = stats["num_partitions"]
-        bm = stats["config"]["bm25"]
-        self.k1, self.b = bm["k1"], bm["b"]
-        self._shards = TermShards(os.path.join(index_dir, "shards",
-                                               "part-{:05d}.parquet"))
-        self._cache: OrderedDict[str, tuple[int, bytes] | None] = OrderedDict()
+        self.deleted = np.unique(np.concatenate(
+            [load_tombstones(path)] + [e.deleted for e in self._leaves]))
+        # term -> df that replaces the leaves' summed df (use_stats)
+        self._df: dict[str, int] = {}
         # decoded (doc ordinals, weights) per term: weights depend only
-        # on the index's fixed stats, so repeated queries on hot terms
+        # on the engine's fixed stats, so repeated queries on hot terms
         # skip the varint decode, the BM25 weight math and the ordinal
         # lookup entirely
         self._w_cache: OrderedDict[str, tuple] = OrderedDict()
+
+    @property
+    def engines(self) -> list[SearchEngine]:
+        """The leaf engines that hold the postings, in generation order:
+        ``[self]`` for one index dir (Lucene's ``leaves()``)."""
+        return self._leaves or [self]
 
     @property
     def deleted(self) -> np.ndarray:
@@ -249,17 +299,46 @@ class SearchEngine:
     def close(self) -> None:
         """Close the open shard files (a later probe reopens them) and
         the docstore parts (a later docstore read raises
-        ``ValueError``)."""
-        self._shards.close()
+        ``ValueError``), of this engine and of its leaves."""
+        for e in self._leaves:
+            e.close()
+        if not self._leaves:
+            self._shards.close()
         self._docstore.close()
+
+    def stats(self) -> tuple[int, float, dict[str, int]]:
+        """(N, Σ avgdl·N, {term: df}) over the leaves, the inputs of a
+        caller's :meth:`use_stats`.  Reads the shards' ``term`` and
+        ``df`` columns through the open shard handles that scoring
+        reads, so df and postings come from one file snapshot."""
+        df: dict[str, int] = {}
+        for e in self.engines:
+            for pkey in range(e.P):
+                tbl = e._shards.read(pkey, None, ["term", "df"])
+                if tbl is None:
+                    continue
+                for t, n in zip(tbl["term"].to_pylist(),
+                                tbl["df"].to_pylist()):
+                    df[t] = df.get(t, 0) + n
+        return (sum(e.N for e in self.engines),
+                sum(e.avgdl * e.N for e in self.engines), df)
+
+    def use_stats(self, N: int, avgdl: float, df: dict[str, int]) -> None:
+        """Score under a caller's global stats from now on, ES's DFS
+        phase done once: ``N`` and ``avgdl`` replace the engine's, and
+        ``df`` replaces the leaves' summed df of each term it holds.
+        The weight cache is cleared."""
+        self.N, self.avgdl, self._df = N, avgdl, df
+        self._w_cache.clear()
 
     # ---- posting access -------------------------------------------------
 
     def load_terms(self, terms: list[str]) -> dict[str, tuple[int, bytes]]:
-        """term -> (df, posting blob) of each term with a posting.  A
-        term missing from ``_cache`` is read from the one shard it
-        hashes to, and from that shard only the row group whose term
-        range holds it (``stages.postings.TermShards``)."""
+        """term -> (df, posting blob) of each term with a posting in
+        this one index dir (a leaf's read; a root reads through
+        :meth:`_posting`).  A term missing from ``_cache`` is read from
+        the one shard it hashes to, and from that shard only the row
+        group whose term range holds it (``stages.postings.TermShards``)."""
         out: dict[str, tuple[int, bytes]] = {}
         missing_by_shard: dict[int, list[str]] = {}
         for t in terms:
@@ -286,6 +365,26 @@ class SearchEngine:
                 if t in found:
                     out[t] = found[t]
         return out
+
+    def _posting(self, t: str, per_leaf: list[dict]
+                 ) -> tuple[int, list[bytes]] | None:
+        """``(df, posting blobs)`` of term ``t`` from each leaf's
+        :meth:`load_terms` result in ``per_leaf``, None without a
+        posting: the blobs in generation order, df summed over the
+        leaves unless :meth:`use_stats` set it."""
+        hits = [ld[t] for ld in per_leaf if t in ld]
+        if hits:
+            return (self._df.get(t) or sum(df for df, _ in hits),
+                    [blob for _, blob in hits])
+        return None
+
+    def df_of(self, terms: list[str]) -> dict[str, int]:
+        """term -> df of each of ``terms`` with a posting, under the
+        engine's stats (the idf input of term selection and term
+        vectors)."""
+        per_leaf = [e.load_terms(terms) for e in self.engines]
+        return {t: hit[0] for t in terms
+                if (hit := self._posting(t, per_leaf)) is not None}
 
     def search_and(self, terms: list[str], k: int = 10,
                    tie: str = "float") -> list[tuple[int, float]]:
@@ -428,23 +527,26 @@ class SearchEngine:
 
     def _term_parts(self, uniq: list[str]) -> list[tuple]:
         """``(doc ordinals, weights)`` of each term of ``uniq`` that has
-        a posting, in ``uniq`` order, through the decoded-weight cache."""
-        loaded = self.load_terms(uniq)
+        a posting, in ``uniq`` order, through the decoded-weight cache:
+        one part per term, its leaves' postings joined in generation
+        order."""
+        per_leaf = [e.load_terms(uniq) for e in self.engines]
         parts = []
         for t in uniq:
-            hit = loaded.get(t)
-            if hit is None:
-                continue
             cached = self._w_cache.get(t)
             if cached is not None:
                 self._w_cache.move_to_end(t)
-            else:
-                ids, w = term_weights(hit[1], idf_fn(self.N, hit[0]),
-                                      self.avgdl, self.k1, self.b)
+            elif (hit := self._posting(t, per_leaf)) is not None:
+                idf_t = idf_fn(self.N, hit[0])
+                ids, w = (np.concatenate(c) for c in zip(*(
+                    term_weights(blob, idf_t, self.avgdl, self.k1, self.b)
+                    for blob in hit[1])))
                 cached = self._w_cache[t] = (np.searchsorted(self.docs, ids),
                                              w)
                 if len(self._w_cache) > 256:
                     self._w_cache.popitem(last=False)
+            else:
+                continue
             parts.append(cached)
         return parts
 
@@ -461,12 +563,17 @@ class SearchEngine:
         """term -> ``(df, doc ordinals, tfs, dls)`` of each of ``terms``
         with a posting, in sorted term order: the one decode for callers
         that need tf or dl."""
+        uniq = sorted(set(terms))
+        per_leaf = [e.load_terms(uniq) for e in self.engines]
         out = {}
-        for t, (df, blob) in sorted(self.load_terms(
-                sorted(set(terms))).items()):
-            post = codec.decode_posting(blob)
-            out[t] = (df, np.searchsorted(self.docs, post.doc_ids),
-                      post.tfs, post.dls)
+        for t in uniq:
+            hit = self._posting(t, per_leaf)
+            if hit is not None:
+                posts = [codec.decode_posting(blob) for blob in hit[1]]
+                out[t] = (hit[0], np.searchsorted(self.docs, np.concatenate(
+                    [p.doc_ids for p in posts])),
+                    np.concatenate([p.tfs for p in posts]),
+                    np.concatenate([p.dls for p in posts]))
         return out
 
     def _taat_arrays(self, terms: list[str],
@@ -489,10 +596,10 @@ class SearchEngine:
         ords, scores = accumulate(self._term_parts(sorted(set(terms))), live)
         return self.docs[ords], scores
 
-    def search(self, terms: list[str], k: int = 10,
+    def search(self, terms: list[str], k: int = 10, tie: str = "float", *,
                allowed: np.ndarray | None = None,
-               excluded: np.ndarray | None = None,
-               tie: str = "float") -> list[tuple[int, float]]:
+               excluded: np.ndarray | None = None
+               ) -> list[tuple[int, float]]:
         """-> [(doc_id, score)], (score desc, doc_id asc), len <= k.
         ``allowed``: optional sorted doc_id whitelist applied BEFORE the
         top-k cut (metadata filter context); ``excluded``: optional
@@ -732,9 +839,8 @@ class SearchEngine:
         if doc.num_rows == 0:
             return [], []
         tf = Counter(tokenize_py(doc["content"][0].as_py()))
-        loaded = self.load_terms(sorted(tf))
         scored = [(-(tf[t] * idf_fn(self.N, df)), t)
-                  for t, (df, _) in loaded.items()]
+                  for t, df in self.df_of(sorted(tf)).items()]
         sel = [t for _, t in sorted(scored)[:n_terms]]
         return sel, self.search(sel, k, tie=tie,
                                 excluded=np.asarray([doc_id], np.int64))
@@ -764,8 +870,9 @@ def _score_batch(batch: pa.Table, *, index_dir: str, k: int,
                                                           worker_engine)
     from onestools_eventlog_ray.state.tombstones import tombstone_dir
     pin_worker_threads()
+    # the listing of index_dir sees a generation added under a root
     eng = worker_engine(SearchEngine, index_dir,
-                        (os.path.join(index_dir, "stats.json"),
+                        (index_dir, ckpt.stats_path(index_dir),
                          tombstone_dir(index_dir)))
     n = batch.num_rows
     opts = [batch[c].to_pylist() if c in batch.column_names else [None] * n
@@ -1065,8 +1172,7 @@ def _dsl_arrays(eng: SearchEngine, terms: list[str],
     in sorted-unique-term order under the ``live`` mask, so float64
     sums equal :meth:`SearchEngine.search`'s and the e6-ranked SQL
     oracle matches exactly."""
-    loaded = eng.load_terms(sorted(set(terms)))
-    present = sorted(loaded)
+    present = sorted(eng.df_of(sorted(set(terms))))
     parts = []
     for t, (o, w) in zip(present, eng._term_parts(present)):
         boost = float(boosts.get(t, 1.0)) if boosts else 1.0
@@ -1167,10 +1273,11 @@ def expand_prefix_terms(eng, prefix: str,
         return []
     upper = prefix[:-1] + chr(ord(prefix[-1]) + 1)
     found: set[str] = set()
-    for pkey in range(eng.P):
-        tbl = eng._shards.read_range(pkey, prefix, upper, ["term"])
-        if tbl is not None:
-            found.update(tbl["term"].to_pylist())
+    for e in getattr(eng, "engines", [eng]):      # a root's leaves
+        for pkey in range(e.P):
+            tbl = e._shards.read_range(pkey, prefix, upper, ["term"])
+            if tbl is not None:
+                found.update(tbl["term"].to_pylist())
     return sorted(found)[:max_expansions]
 
 
@@ -1530,9 +1637,8 @@ def term_vectors(eng: SearchEngine, doc_id: int,
     toks = tokenize_py(tbl[content_col][0].as_py())
     terms, tf = np.unique(np.asarray(toks, dtype=object),
                           return_counts=True)
-    loaded = eng.load_terms([str(t) for t in terms])
-    df = np.asarray([loaded[str(t)][0] if str(t) in loaded else 0
-                     for t in terms], dtype=np.int64)
+    df_of = eng.df_of([str(t) for t in terms])
+    df = np.asarray([df_of.get(str(t), 0) for t in terms], dtype=np.int64)
     return pa.table({
         "term": pa.array(terms.tolist(), pa.string()),
         "tf": pa.array(tf.astype(np.int64), pa.int64()),
@@ -1571,8 +1677,7 @@ def mtermvectors(eng: SearchEngine, doc_ids: list[int],
                           return_counts=True)
     kd = docs[(keys // vocab.size)]
     kt = vocab[(keys % vocab.size)]
-    loaded = eng.load_terms([str(t) for t in vocab])
-    df_of = {t: loaded[t][0] for t in loaded}
+    df_of = eng.df_of([str(t) for t in vocab])
     df = np.asarray([df_of.get(str(t), 0) for t in kt], dtype=np.int64)
     order = np.lexsort((kt, kd))
     return pa.table({
@@ -1768,9 +1873,8 @@ def prf_search(eng: SearchEngine, terms: list[str], fb_docs: int = 10,
             tf.update(tokenize_py(c))
     for t in terms:
         tf.pop(t, None)
-    loaded = eng.load_terms(sorted(tf))
     scored = [(-(tf[t] * idf_fn(eng.N, df)), t)
-              for t, (df, _) in loaded.items()]
+              for t, df in eng.df_of(sorted(tf)).items()]
     expansion = [t for _, t in sorted(scored)[:fb_terms]]
 
     hits = eng.search(list(terms) + expansion, k, tie="e6")
@@ -2072,9 +2176,9 @@ def msearch(eng: SearchEngine, queries: list[list[str]],
             k: int = 10) -> pa.Table:
     """ES ``_msearch``: execute N independent term queries in ONE
     request against one engine, sharing a single posting-load pass —
-    ``load_terms`` on the UNION of all query terms opens each shard
-    file once with a combined ``term IN`` filter, then every query
-    scores from the warm term/weight caches (zero additional I/O).
+    every leaf's ``load_terms`` on the UNION of all query terms (through
+    ``df_of``) opens each shard file once with a combined ``term IN``
+    filter, then every query scores from the warm caches (no more I/O).
 
     The reference ships query batches to ElasticSearch's ``_msearch``
     bulk endpoint; here the batching win is explicit: Q queries over T
@@ -2087,8 +2191,7 @@ def msearch(eng: SearchEngine, queries: list[list[str]],
     -> (query_id, rank, doc_id, score_e6); per query ranked on the
     quantized integer score with (e6 desc, doc_id asc) tie-break, len
     <= k per query — oracle-exact and O(Q*k) on the driver."""
-    union = sorted({t for q in queries for t in q})
-    eng.load_terms(union)
+    eng.df_of(sorted({t for q in queries for t in q}))
     qid, rank, did, e6 = [], [], [], []
     for qi, terms in enumerate(queries):
         hits = eng.search(terms, k=k, tie="e6")

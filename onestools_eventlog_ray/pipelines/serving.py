@@ -18,19 +18,19 @@ This module provides that deployment shape on Ray:
   contract without the tokenize).
 * :func:`build_sharded_index` — one independent index build per
   sub-corpus under ``root/gen-%04d``: deliberately the generational
-  layout, so the single-process
-  :class:`~.incremental.GenerationalSearchEngine` over the SAME
-  deployment is the in-process oracle for the tier.
+  layout, so the single-process :class:`~.query.SearchEngine` over the
+  SAME root is the in-process oracle for the tier.
 * :class:`ShardedSearchTier` — one ``@ray.remote``
-  :class:`~.incremental.GenerationalSearchEngine` per shard, over that
-  shard's one generation.  The tier reads every shard's df table once
-  at open, so a query is ONE scatter of ``score`` under global stats
-  (ES ``query_then_fetch`` with cached term statistics; no
-  ``dfs_query_then_fetch`` round trip).  Float exactness: scoring is
+  :class:`~.query.SearchEngine` per shard, over that shard's one
+  generation of the root.  The tier reads every shard's df table once
+  at open and hands each shard its terms' global df with the global N
+  and avgdl (:meth:`~.query.SearchEngine.use_stats`), so a query is ONE
+  scatter of the shard engines' own ``search`` (ES ``query_then_fetch``
+  with cached term statistics; no ``dfs_query_then_fetch`` round trip),
+  which hits each shard's weight cache.  Float exactness: scoring is
   terms-major within the owning shard, the same accumulation order as
-  ``SearchEngine.search`` / ``GenerationalSearchEngine.search``, so
-  per-doc float64 scores are bit-identical to a single-index build over
-  the union of the docs.
+  ``SearchEngine.search`` over one index, so per-doc float64 scores are
+  bit-identical to a single-index build over the union of the docs.
 
 Scale shape: a query ships O(len(terms)) down and O(k) (id, score)
 pairs up per live shard; the router merges O(shards * k) rows.
@@ -38,7 +38,8 @@ Nothing corpus-sized moves at query time, and each worker's resident
 set is one shard — the deployment grows by adding shards, not by
 growing a node.  The price of the single scatter is router memory:
 the router holds each shard's {term: df} table, O(distinct terms) per
-shard, read at open (no posting bytes).
+shard, read at open (no posting bytes), and each shard engine holds the
+global df of its own terms.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ import ray
 import ray.data
 
 from onestools_eventlog_ray.config import EngineConfig
-from onestools_eventlog_ray.functions.bm25 import idf as idf_fn, pick_topk
-from onestools_eventlog_ray.pipelines.incremental import (
-    GenerationalSearchEngine, list_generations)
+from onestools_eventlog_ray.functions.bm25 import pick_topk
+from onestools_eventlog_ray.pipelines.incremental import list_generations
+from onestools_eventlog_ray.pipelines.query import SearchEngine
 from onestools_eventlog_ray.sources.corpus import (CODE_CORPUS_SPEC,
                                                    CorpusSpec,
                                                    read_parquet_clean)
@@ -126,8 +127,8 @@ def build_sharded_index(corpus_paths, index_root: str, n_shards: int,
                         cfg: EngineConfig = EngineConfig()) -> dict:
     """Build a doc-sharded deployment: route the corpus, then run one
     independent index build per sub-corpus under ``index_root/gen-%04d``
-    (the generational layout, so ``GenerationalSearchEngine(index_root)``
-    is the in-process oracle for :class:`ShardedSearchTier` and the whole
+    (the generational layout, so ``SearchEngine(index_root)`` is the
+    in-process oracle for :class:`ShardedSearchTier` and the whole
     add/delete/compact lifecycle applies per shard unchanged).  Each
     build is itself resumable; re-running skips finished shards.
     -> {"n_shards", "n_docs", "shard_dirs"}."""
@@ -145,7 +146,7 @@ def build_sharded_index(corpus_paths, index_root: str, n_shards: int,
             "shard_dirs": shard_dirs}
 
 
-_ShardEngine = ray.remote(num_cpus=1)(GenerationalSearchEngine)
+_ShardEngine = ray.remote(num_cpus=1)(SearchEngine)
 
 
 class ShardedSearchTier:
@@ -153,17 +154,20 @@ class ShardedSearchTier:
 
     Query cost at the router: O(terms) down + O(shards * k) up — never
     O(matches).  Exact BM25 (scores AND ranks) vs a single index over
-    the union of the shards; asserted against GenerationalSearchEngine
-    and a monolithic build in tests.
+    the union of the shards; asserted against ``SearchEngine`` over the
+    root and over a monolithic build in tests.
 
-    Each shard actor is a :class:`GenerationalSearchEngine` over that
-    shard's generation alone (the root's tombstones included).  At open
-    the tier gathers every shard's ``stats()`` once: N and total tokens
-    give the global avgdl, each shard's {term: df} prunes shards that
-    hold no query term, and their sum gives the global df behind idf.
-    The table is fixed for the tier's lifetime: shard engines read the
-    files they opened at tier start, so rebuild the tier after index
-    updates.
+    Each shard actor is a :class:`~.query.SearchEngine` over the root
+    with that shard's generation alone (the root's tombstones
+    included).  At open the tier gathers every shard's ``stats()``
+    once: N and Σ avgdl·N give the global avgdl, each shard's
+    {term: df} prunes shards that hold no query term, and their sum is
+    the global df.  Every replica then gets ``use_stats`` with the
+    global N, avgdl and its shard's terms' global df, so a query sends
+    each shard only its terms, and the shard's ``search`` scores them
+    through its weight cache.  The stats are fixed for the tier's
+    lifetime: shard engines read the files they opened at tier start,
+    so rebuild the tier after index updates.
 
     ``replicas``: ES-style shard replicas — each shard gets that many
     interchangeable shard actors (same immutable shard files, so any
@@ -191,9 +195,8 @@ class ShardedSearchTier:
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         self._worker_cpus = worker_cpus
-        self.replica_groups = [
-            [self._spawn(d) for _ in range(replicas)]
-            for d in self.gen_dirs]
+        self.replica_groups = [[self._spawn(si) for _ in range(replicas)]
+                               for si in range(len(self.gen_dirs))]
         self._rr = 0
         st = self._scatter(range(len(self.gen_dirs)), "stats",
                            lambda si: ())
@@ -205,12 +208,20 @@ class ShardedSearchTier:
         for d in self.shard_df:
             for t, n in d.items():
                 self.df[t] = self.df.get(t, 0) + n
+        ray.get([self._use_stats(w, si)
+                 for si, grp in enumerate(self.replica_groups)
+                 for w in grp])
 
     # ---- replica pick / failover -------------------------------------
 
-    def _spawn(self, gen_dir: str):
+    def _use_stats(self, w, si: int):
+        """Give replica ``w`` of shard ``si`` the global N, avgdl and df."""
+        return w.use_stats.remote(self.N, self.avgdl,
+                                  {t: self.df[t] for t in self.shard_df[si]})
+
+    def _spawn(self, si: int):
         return _ShardEngine.options(num_cpus=self._worker_cpus).remote(
-            self.index_root, [gen_dir])
+            self.index_root, [self.gen_dirs[si]])
 
     def _pick(self, si: int):
         """Round-robin replica choice for shard ``si`` (one shared
@@ -232,7 +243,9 @@ class ShardedSearchTier:
                 return ray.get(getattr(w, method).remote(*args))
             except ray.exceptions.RayActorError as e:
                 last = e
-        fresh = self._spawn(self.gen_dirs[si])
+        fresh = self._spawn(si)
+        # Ray runs one caller's calls to an actor in submission order
+        self._use_stats(fresh, si)
         self.replica_groups[si] = [fresh]
         try:
             return ray.get(getattr(fresh, method).remote(*args))
@@ -261,20 +274,17 @@ class ShardedSearchTier:
     def search(self, terms: list[str], k: int = 10,
                tie: str = "float") -> list[tuple[int, float]]:
         uniq = sorted(set(terms))
-        idf_map = {t: float(idf_fn(self.N, self.df[t]))
-                   for t in uniq if t in self.df}
         # shard pruning: a shard scores only the query terms it holds
-        shard_terms = [[t for t in idf_map if t in d] for d in self.shard_df]
+        shard_terms = [[t for t in uniq if t in d] for d in self.shard_df]
         live = [si for si, ts in enumerate(shard_terms) if ts]
         if not live:
             return []
-        parts = self._scatter(
-            live, "score",
-            lambda si: (shard_terms[si], idf_map, self.avgdl, k, tie))
-        ids = np.concatenate([p[0] for p in parts])
-        scores = np.concatenate([p[1] for p in parts])
-        idx = pick_topk(tie)(scores, ids, k)
-        return [(int(ids[i]), float(scores[i])) for i in idx]
+        hits = [h for part in self._scatter(
+            live, "search", lambda si: (shard_terms[si], k, tie))
+            for h in part]
+        ids = np.fromiter((d for d, _ in hits), np.int64, len(hits))
+        scores = np.fromiter((s for _, s in hits), np.float64, len(hits))
+        return [hits[i] for i in pick_topk(tie)(scores, ids, k)]
 
     def shutdown(self) -> None:
         for grp in self.replica_groups:

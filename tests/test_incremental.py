@@ -9,7 +9,8 @@ from onestools_eventlog_ray.config import EngineConfig
 from onestools_eventlog_ray.functions.bm25 import BruteForceBM25
 from onestools_eventlog_ray.functions.hashing import doc_id_from_keys
 from onestools_eventlog_ray.pipelines.incremental import (
-    GenerationalSearchEngine, add_generation, list_generations)
+    add_generation, list_generations)
+from onestools_eventlog_ray.pipelines.query import SearchEngine
 
 CFG = EngineConfig(num_partitions=8)
 
@@ -36,7 +37,7 @@ def test_two_generations_created(gens):
 
 def test_generational_matches_oracle(gens, small_corpus):
     root, _, _ = gens
-    eng = GenerationalSearchEngine(root)
+    eng = SearchEngine(root)
     ids = doc_id_from_keys(small_corpus["repo"], small_corpus["path"],
                            small_corpus["commit"]).to_pylist()
     oracle = BruteForceBM25(ids, small_corpus["content"].to_pylist())
@@ -52,9 +53,10 @@ def test_generational_matches_oracle(gens, small_corpus):
 
 def test_generational_df(gens, small_corpus):
     root, _, _ = gens
-    eng = GenerationalSearchEngine(root)
+    eng = SearchEngine(root)
     ids = doc_id_from_keys(small_corpus["repo"], small_corpus["path"],
                            small_corpus["commit"]).to_pylist()
     oracle = BruteForceBM25(ids, small_corpus["content"].to_pylist())
-    for t in ["def", "the", "license", "nosuchterm"]:
-        assert eng.df(t) == oracle.df(t)
+    terms = ["def", "the", "license", "nosuchterm"]
+    assert eng.df_of(terms) == {t: oracle.df(t) for t in terms
+                                if oracle.df(t)}

@@ -138,3 +138,32 @@ def test_one_per_worker_engine_cache():
     fn = ast.parse(inspect.getsource(query.count_bool)).body[0]
     assert not [n for n in ast.walk(fn) if n is not fn and isinstance(
         n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+
+def test_one_bm25_scorer_over_one_or_more_generations():
+    """``SearchEngine`` is the one BM25 scorer: its ``_term_parts`` is
+    the only caller of ``bm25.term_weights``, ``incremental`` keeps no
+    class that searches or scores (a root opens as a ``SearchEngine``),
+    and the serving tier computes no idf (its shard engines score under
+    the global stats set at open)."""
+    import inspect
+    from onestools_eventlog_ray.pipelines import incremental, serving
+    callers = set()
+    for path, tree in _modules():
+        for node, scope in _scoped(tree):
+            if isinstance(node, ast.Call) \
+                    and "term_weights" in _names(node.func):
+                callers.add((path, scope))
+    assert callers == {("pipelines/query.py", "SearchEngine._term_parts")}
+    scorers = [(node.name, fn.name)
+               for node in ast.parse(inspect.getsource(incremental)).body
+               if isinstance(node, ast.ClassDef) for fn in node.body
+               if isinstance(fn, ast.FunctionDef)
+               and fn.name in ("search", "score")]
+    assert scorers == []
+    assert incremental.GenerationalSearchEngine is query.SearchEngine
+    tree = ast.parse(inspect.getsource(serving))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and _names(node.func) & {"idf", "idf_fn"}
+                or isinstance(node, ast.alias) and node.name == "idf"]

@@ -74,19 +74,35 @@ def test_unchanged_then_refresh_then_retire(registry):
     assert set(read_state(reg_path)["managed"]) == {"alpha"}
 
 
-def test_cli_build_search_stats(tmp_path, small_corpus_dir, capsys):
+def test_cli_build_search_stats(tmp_path, small_corpus, small_corpus_dir,
+                                capsys):
     from onestools_eventlog_ray.cli import main
+    from onestools_eventlog_ray.pipelines.incremental import add_generation
     index = str(tmp_path / "idx")
     assert main(["build", "--corpus", small_corpus_dir, "--index", index]) == 0
     out = capsys.readouterr().out.strip().splitlines()[-1]
     rep = json.loads(out)
     assert rep["n_docs"] == 400
 
-    assert main(["search", "--index", index, "--terms", "def import",
-                 "-k", "3"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert 1 <= len(lines) <= 3
-    assert json.loads(lines[0])["rank"] == 1
+    def search(path):
+        assert main(["search", "--index", path, "--terms", "def import",
+                     "-k", "3"]) == 0
+        return [json.loads(x)
+                for x in capsys.readouterr().out.strip().splitlines()]
+
+    hits = search(index)
+    assert 1 <= len(hits) <= 3
+    assert hits[0]["rank"] == 1
+    # the same command opens a root of generations over the same docs
+    root = str(tmp_path / "root")
+    for i, tbl in enumerate([small_corpus.slice(0, 150),
+                             small_corpus.slice(150)]):
+        src = str(tmp_path / f"part{i}.parquet")
+        pq.write_table(tbl, src)
+        add_generation(src, root)
+    capsys.readouterr()
+    assert [h["doc_id"] for h in search(root)] \
+        == [h["doc_id"] for h in hits]
 
     assert main(["stats", "--index", index]) == 0
     stats = json.loads(capsys.readouterr().out)

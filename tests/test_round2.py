@@ -421,8 +421,8 @@ def test_generational_compaction_under_avgdl_drift(tmp_path):
     GLOBAL avgdl: compacting them gives the same ranking."""
     import pyarrow.parquet as pq
     from onestools_eventlog_ray.config import EngineConfig
-    from onestools_eventlog_ray.pipelines.incremental import (
-        GenerationalSearchEngine, add_generation)
+    from onestools_eventlog_ray.pipelines.incremental import add_generation
+    from onestools_eventlog_ray.pipelines.query import SearchEngine
     from onestools_eventlog_ray.sources.corpus import DOCUMENTS_SPEC
 
     def gen_table(start, texts):
@@ -443,13 +443,12 @@ def test_generational_compaction_under_avgdl_drift(tmp_path):
         src = str(tmp_path / f"gen{gi}.parquet")
         pq.write_table(gen_table(gi * 1000, texts), src)
         add_generation(src, root, spec=DOCUMENTS_SPEC, cfg=cfg)
-    eng = GenerationalSearchEngine(root)
+    eng = SearchEngine(root)
 
     # compaction (force-merge analog): one fresh index over the union of
     # the generations' docstores, rank-identical to the generational view
     from onestools_eventlog_ray.pipelines.incremental import \
         compact_generations
-    from onestools_eventlog_ray.pipelines.query import SearchEngine
     out = str(tmp_path / "compacted")
     rep = compact_generations(root, out, cfg=cfg)
     assert rep["n_generations"] == 2 and rep["n_docs"] == 80

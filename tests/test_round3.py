@@ -73,7 +73,7 @@ def test_generational_delete_and_compaction(tmp_path, small_corpus):
     """Root tombstones mask docs across generations; compaction drops
     them physically and matches the masked generational ranking."""
     from onestools_eventlog_ray.pipelines.incremental import (
-        GenerationalSearchEngine, add_generation, compact_generations)
+        add_generation, compact_generations)
     half = small_corpus.num_rows // 2
     root = str(tmp_path / "gens")
     for i, tbl in enumerate([small_corpus.slice(0, half),
@@ -82,12 +82,12 @@ def test_generational_delete_and_compaction(tmp_path, small_corpus):
         pq.write_table(tbl, src)
         add_generation(src, root, cfg=CFG)
 
-    eng = GenerationalSearchEngine(root)
+    eng = SearchEngine(root)
     before = eng.search(["def", "the"], 10)
     victims = [before[0][0], before[1][0]]
     delete_docs(root, victims)
 
-    eng2 = GenerationalSearchEngine(root)
+    eng2 = SearchEngine(root)
     after = eng2.search(["def", "the"], 10)
     assert not set(victims) & {d for d, _ in after}
 

@@ -221,8 +221,7 @@ def test_corpus_watcher_end_to_end(ray_session, tmp_path, small_corpus):
     from onestools_eventlog_ray.functions.hashing import doc_id_from_keys
     from onestools_eventlog_ray.pipelines.build import build_index
     from onestools_eventlog_ray.pipelines.incremental import (
-        CorpusWatcher, GenerationalSearchEngine, compact_generations,
-        list_generations)
+        CorpusWatcher, compact_generations, list_generations)
     from onestools_eventlog_ray.pipelines.query import SearchEngine
 
     cfg = EngineConfig(num_partitions=8)
@@ -243,7 +242,7 @@ def test_corpus_watcher_end_to_end(ray_session, tmp_path, small_corpus):
     assert r2["indexed_files"] == ["p1.parquet"]
     assert r2["generation_dir"].endswith("gen-0001")
 
-    eng = GenerationalSearchEngine(str(tmp_path / "idx"))
+    eng = SearchEngine(str(tmp_path / "idx"))
     new_ids = set(doc_id_from_keys(
         small_corpus.slice(half)["repo"], small_corpus.slice(half)["path"],
         small_corpus.slice(half)["commit"]).to_pylist())

@@ -1094,13 +1094,18 @@ def test_serving_cache_sees_deletes(ray_session, tmp_path, small_corpus_dir,
 
 
 def test_worker_engine_reopens_on_index_changes(ray_session, tmp_path,
+                                                small_corpus,
                                                 small_corpus_dir,
                                                 monkeypatch):
     """The stages' one per-worker cache, driven in-process through the
     three batch bodies: the same engine while the watched paths are
     unchanged, a new one after a tombstone append (text, phrase), a
-    sidecar rebuild (phrase) and an ANN delete (ANN), and only for the
-    engines that watch the changed path."""
+    sidecar rebuild (phrase, also in place into the same shard names)
+    and an ANN delete (ANN), and only for the engines that watch the
+    changed path."""
+    import os
+
+    import pyarrow.parquet as pq
     from onestools_eventlog_ray.config import EngineConfig
     from onestools_eventlog_ray.functions import runtime
     from onestools_eventlog_ray.pipelines import ann, phrase, query
@@ -1108,6 +1113,9 @@ def test_worker_engine_reopens_on_index_changes(ray_session, tmp_path,
     from onestools_eventlog_ray.state.tombstones import delete_docs
     # keep the test process's Arrow thread pools as they are
     monkeypatch.setattr(runtime, "pin_worker_threads", lambda n=1: None)
+    other = tmp_path / "other"
+    other.mkdir()
+    pq.write_table(small_corpus.slice(0, 100), str(other / "p.parquet"))
     d = str(tmp_path / "idx")
     build_index(small_corpus_dir, d, cfg=EngineConfig(num_partitions=8))
     phrase.build_position_index(small_corpus_dir, d,
@@ -1141,11 +1149,60 @@ def test_worker_engine_reopens_on_index_changes(ray_session, tmp_path,
                                     cfg=EngineConfig(num_partitions=16))
         e2 = engines()
         assert same(e2, e1) == [True, False, True]
+        # a rebuild back into 8 partitions over other docs rewrites the
+        # same shard names: the listing stays, _meta.json is rewritten
+        listing = sorted(os.listdir(os.path.join(d, "positions")))
+        phrase.build_position_index(str(other), d,
+                                    cfg=EngineConfig(num_partitions=8))
+        assert sorted(os.listdir(os.path.join(d, "positions"))) == listing
+        e3 = engines()
+        assert same(e3, e2) == [True, False, True]
         ann.delete_ann_vecs(d, {3})
-        assert same(engines(), e2) == [True, True, False]
+        assert same(engines(), e3) == [True, True, False]
     finally:
         for fn in opens:
             runtime._ENGINES.pop((fn, d), None)
+
+
+def test_worker_engine_sees_a_new_generation(ray_session, tmp_path,
+                                             small_corpus, monkeypatch):
+    """The BM25 batch body over a root of generations: the same engine
+    while the root is unchanged, and after ``add_generation`` a new one
+    whose results hold the new generation's docs."""
+    import pyarrow.parquet as pq
+    from onestools_eventlog_ray.config import EngineConfig
+    from onestools_eventlog_ray.functions import runtime
+    from onestools_eventlog_ray.pipelines import query
+    from onestools_eventlog_ray.pipelines.incremental import add_generation
+    monkeypatch.setattr(runtime, "pin_worker_threads", lambda n=1: None)
+    cfg = EngineConfig(num_partitions=8)
+    half = small_corpus.num_rows // 2
+    srcs = []
+    for i, tbl in enumerate([small_corpus.slice(0, half),
+                             small_corpus.slice(half)]):
+        srcs.append(str(tmp_path / f"half{i}.parquet"))
+        pq.write_table(tbl, srcs[-1])
+    root = str(tmp_path / "root")
+    add_generation(srcs[0], root, cfg=cfg)
+    batch = pa.table({"query_id": [0], "terms": [["def"]]})
+    n = small_corpus.num_rows
+
+    def engine():
+        out = query._score_batch(batch, index_dir=root, k=n, tie="float")
+        return runtime._ENGINES[(query.SearchEngine, root)][1], out
+
+    try:
+        e0, out0 = engine()
+        assert engine()[0] is e0 and len(e0.engines) == 1
+        add_generation(srcs[1], root, cfg=cfg)
+        e1, out1 = engine()
+        assert e1 is not e0 and len(e1.engines) == 2
+        assert out1.num_rows > out0.num_rows
+        assert list(zip(out1["doc_id"].to_pylist(),
+                        out1["score"].to_pylist())) \
+            == query.SearchEngine(root).search(["def"], n)
+    finally:
+        runtime._ENGINES.pop((query.SearchEngine, root), None)
 
 
 def test_ann_delete_tombstones(ray_session, tmp_path):

@@ -11,9 +11,9 @@ every lifecycle operation defined for it with IDENTICAL query results:
 | multifield |  yes   | (2)    | (2)   |       yes        |  (1)    |  (1)    |
 
 (1) generational positions / multifield engines are not a defined
-    surface: generations are queried through GenerationalSearchEngine
-    (BM25 only) and compaction produces a fresh index whose sidecars
-    are rebuilt from the compacted docstore — by design, not a gap.
+    surface: generations are queried through ``SearchEngine(root)``
+    (the BM25 families) and compaction produces a fresh index whose
+    sidecars are rebuilt from the compacted docstore — by design, not a gap.
 (2) a multifield ROOT has no shard count of its own; shrink/split apply
     per FIELD index, which is exactly what the matrix rows test.
 

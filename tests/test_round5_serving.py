@@ -3,7 +3,7 @@
 The exactness contract under test: a ShardedSearchTier over N doc-hash
 shards returns BIT-IDENTICAL (doc_id, score) rankings to (a) one
 monolithic index over the same corpus and (b) the in-process
-GenerationalSearchEngine over the same sharded deployment — for hot, mid,
+SearchEngine over the same sharded deployment's root — for hot, mid,
 rare, multi-term and absent-term queries, in both float and e6 tie
 modes.  Plus the router's completeness/idempotence contracts.
 """
@@ -43,15 +43,12 @@ def deployment(ray_session, tmp_path_factory, small_corpus_dir):
 
 @pytest.mark.parametrize("tie", ["float", "e6"])
 def test_tier_rank_identical_to_monolith_and_generational(deployment, tie):
-    import ray
-    from onestools_eventlog_ray.pipelines.incremental import \
-        GenerationalSearchEngine
     from onestools_eventlog_ray.pipelines.query import SearchEngine
     from onestools_eventlog_ray.pipelines.serving import ShardedSearchTier
 
     mono, root = deployment
     eng = SearchEngine(mono)
-    gen = GenerationalSearchEngine(root)
+    gen = SearchEngine(root)
     tier = ShardedSearchTier(root)
     try:
         assert tier.N == eng.N
@@ -104,7 +101,7 @@ def test_sharded_build_is_resumable(deployment, small_corpus_dir):
 def test_tier_respects_root_tombstones(ray_session, tmp_path_factory,
                                        small_corpus_dir, deployment):
     """A deployment-level delete must drop the doc from tier results
-    (the GenerationalSearchEngine root-tombstone rule, applied per worker)."""
+    (the generational root-tombstone rule, applied per worker)."""
     from onestools_eventlog_ray.pipelines.query import SearchEngine
     from onestools_eventlog_ray.pipelines.serving import (
         ShardedSearchTier, build_sharded_index)
@@ -127,10 +124,10 @@ def test_tier_respects_root_tombstones(ray_session, tmp_path_factory,
 
 
 def test_tier_scores_in_one_scatter(deployment):
-    """Every query is ONE ``score`` scatter, never-seen terms included
-    (the df table is read at open, so there is no df round trip); a
-    query of absent terms scatters nothing; repeated queries return
-    identical rankings."""
+    """Every query is ONE scatter of the shard engines' ``search``,
+    never-seen terms included (the global stats are set at open, so
+    there is no df round trip); a query of absent terms scatters
+    nothing; repeated queries return identical rankings."""
     from onestools_eventlog_ray.pipelines.serving import ShardedSearchTier
     _mono, root = deployment
     tier = ShardedSearchTier(root)
@@ -144,13 +141,13 @@ def test_tier_scores_in_one_scatter(deployment):
     tier._scatter = recording
     try:
         first = tier.search(["def", "merge"], 10, tie="e6")
-        assert first and calls == ["score"]
+        assert first and calls == ["search"]
         assert tier.search(["def", "merge"], 10, tie="e6") == first
-        assert calls == ["score"] * 2
+        assert calls == ["search"] * 2
         assert tier.search(["license", "zzz_not_a_term"], 10, tie="e6")
-        assert calls == ["score"] * 3
+        assert calls == ["search"] * 3
         assert tier.search(["zzz_not_a_term", "zzz_also_not"], 10) == []
-        assert calls == ["score"] * 3
+        assert calls == ["search"] * 3
     finally:
         tier.shutdown()
 
@@ -158,22 +155,21 @@ def test_tier_scores_in_one_scatter(deployment):
 def test_tier_df_table_matches_shard_postings(deployment):
     """The df table read at open: per shard, it equals that shard
     engine's ``load_terms`` df over every term in the shard's files;
-    summed, it equals the generational engine's df."""
+    summed, it equals the root engine's df."""
     import glob
 
     import pyarrow.parquet as pq
-    from onestools_eventlog_ray.pipelines.incremental import \
-        GenerationalSearchEngine
     from onestools_eventlog_ray.pipelines.query import SearchEngine
     from onestools_eventlog_ray.pipelines.serving import ShardedSearchTier
 
     _mono, root = deployment
-    gen = GenerationalSearchEngine(root)
+    gen = SearchEngine(root)
     tier = ShardedSearchTier(root)
     try:
-        assert len(tier.shard_df) == len(gen.gen_dirs) == 4
+        assert len(tier.shard_df) == len(gen.engines) == 4
         all_terms = set()
-        for d, gen_dir in zip(tier.shard_df, gen.gen_dirs):
+        for d, gen_dir in zip(tier.shard_df,
+                              [e.index_dir for e in gen.engines]):
             files = sorted(glob.glob(os.path.join(gen_dir, "shards",
                                                   "*.parquet")))
             terms = sorted(set(pq.read_table(files, columns=["term"])
@@ -182,11 +178,11 @@ def test_tier_df_table_matches_shard_postings(deployment):
             loaded = SearchEngine(gen_dir).load_terms(terms)
             assert d == {t: df for t, (df, _) in loaded.items()}
             all_terms.update(terms)
-        assert tier.df == {t: gen.df(t) for t in all_terms}
+        assert tier.df == gen.df_of(sorted(all_terms))
     finally:
         tier.shutdown()
     with pytest.raises(ValueError):
-        GenerationalSearchEngine(root, gen_dirs=[root + "/gen-9999"])
+        SearchEngine(root, gen_dirs=[root + "/gen-9999"])
 
 
 def test_tier_exact_at_odd_shard_count(ray_session, tmp_path_factory,

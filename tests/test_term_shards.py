@@ -274,8 +274,6 @@ def test_close_releases_the_open_shard_files(tmp_path):
     a probe after ``close()`` opens its shard again.  It holds one open
     file per docstore part from open until ``close()``; a docstore read
     after ``close()`` raises."""
-    from onestools_eventlog_ray.pipelines.incremental import \
-        GenerationalSearchEngine
     rng = np.random.default_rng(11)
     P = 3
     terms = _words(rng, 60)
@@ -309,8 +307,8 @@ def test_close_releases_the_open_shard_files(tmp_path):
     eng.close()
     assert _open_shard_files(roots[0]) == 0
 
-    gen = GenerationalSearchEngine(str(tmp_path))
-    assert gen.df(terms[0]) > 0             # one probe per generation
+    gen = SearchEngine(str(tmp_path))
+    assert gen.df_of(terms[:1])[terms[0]] > 0   # one probe per generation
     assert [_open_shard_files(r) for r in roots] == [1, 1]
     gen.close()
     assert [_open_shard_files(r) for r in roots] == [0, 0]
