@@ -244,7 +244,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         build_sharded_index(os.path.join(sf_dir, "documents.parquet"),
                             root, n_shards=4, spec=DOCUMENTS_SPEC,
                             cfg=EngineConfig(num_partitions=16))
-        tier = ShardedSearchTier(root)
+        # quarter-core shard actors: whole cores would deadlock the tier
+        # at open on a session with fewer than 4 free CPUs
+        tier = ShardedSearchTier(root, worker_cpus=0.25)
         try:
             return _hits_to_table(tier.search(_BM25_TERMS, k=10, tie="e6"))
         finally:

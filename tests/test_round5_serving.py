@@ -16,6 +16,11 @@ import pytest
 from onestools_eventlog_ray.config import EngineConfig
 
 CFG = EngineConfig(num_partitions=8)
+# CPU reservation per shard actor.  The test cluster has 4 CPUs; a tier
+# of whole-core shard actors needs all of them, so one CPU still leased
+# to an earlier test's actor (Ray can keep the lease of an actor pool
+# worker killed while it starts) deadlocks the tier at open.
+WORKER_CPUS = 0.25
 
 QUERIES = [
     ["def"],                        # hot (df ~ N)
@@ -49,7 +54,7 @@ def test_tier_rank_identical_to_monolith_and_generational(deployment, tie):
     mono, root = deployment
     eng = SearchEngine(mono)
     gen = SearchEngine(root)
-    tier = ShardedSearchTier(root)
+    tier = ShardedSearchTier(root, worker_cpus=WORKER_CPUS)
     try:
         assert tier.N == eng.N
         assert tier.avgdl == pytest.approx(eng.avgdl, rel=1e-12)
@@ -114,7 +119,7 @@ def test_tier_respects_root_tombstones(ray_session, tmp_path_factory,
     root2 = str(tmp_path_factory.mktemp("sharded_del") / "root")
     build_sharded_index(small_corpus_dir, root2, n_shards=4, cfg=CFG)
     delete_docs(root2, [victim])
-    tier = ShardedSearchTier(root2)
+    tier = ShardedSearchTier(root2, worker_cpus=WORKER_CPUS)
     try:
         hits = tier.search(["def"], 10)
         assert victim not in [d for d, _ in hits]
@@ -130,7 +135,7 @@ def test_tier_scores_in_one_scatter(deployment):
     nothing; repeated queries return identical rankings."""
     from onestools_eventlog_ray.pipelines.serving import ShardedSearchTier
     _mono, root = deployment
-    tier = ShardedSearchTier(root)
+    tier = ShardedSearchTier(root, worker_cpus=WORKER_CPUS)
     calls = []
     scatter = tier._scatter
 
@@ -164,7 +169,7 @@ def test_tier_df_table_matches_shard_postings(deployment):
 
     _mono, root = deployment
     gen = SearchEngine(root)
-    tier = ShardedSearchTier(root)
+    tier = ShardedSearchTier(root, worker_cpus=WORKER_CPUS)
     try:
         assert len(tier.shard_df) == len(gen.engines) == 4
         all_terms = set()
@@ -197,7 +202,7 @@ def test_tier_exact_at_odd_shard_count(ray_session, tmp_path_factory,
     rep = build_sharded_index(small_corpus_dir, root3, n_shards=3, cfg=CFG)
     assert rep["n_shards"] == 3
     eng = SearchEngine(mono)
-    tier = ShardedSearchTier(root3)
+    tier = ShardedSearchTier(root3, worker_cpus=WORKER_CPUS)
     try:
         for terms in QUERIES:
             assert tier.search(terms, 10, tie="e6") \
@@ -239,7 +244,7 @@ def test_tier_respawns_fully_dead_shard(deployment):
 
     mono, root = deployment
     eng = SearchEngine(mono)
-    tier = ShardedSearchTier(root)                # replicas=1
+    tier = ShardedSearchTier(root, worker_cpus=WORKER_CPUS)  # 1 replica
     try:
         for grp in tier.replica_groups:           # every shard fully dead
             for w in grp:
@@ -272,6 +277,6 @@ def test_cli_shard_build_and_search(ray_session, tmp_path,
         return [_json.loads(x)
                 for x in capsys.readouterr().out.strip().splitlines()]
 
-    taat = run()
+    taat = run(("--worker-cpus", str(WORKER_CPUS)))
     assert len(taat) == 5 and taat[0]["rank"] == 1
     assert run(("--replicas", "2", "--worker-cpus", "0.25")) == taat
