@@ -1228,19 +1228,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
         })
 
     def bm25_after_restore(sf_dir):
-        """ES _snapshot/_restore proof: snapshot the index (hardlinks +
-        per-file sha256 manifest), restore with full integrity verify,
-        and reproduce the BM25 ranking bit-for-bit from the restored
-        copy (same oracle as bm25_topk)."""
-        from onestools_eventlog_ray.pipelines.incremental import (
-            restore_index, snapshot_index)
+        """ES _snapshot/_restore proof: snapshot the index into a
+        content-addressed repository (hardlinked blobs + per-file
+        sha256 manifest), restore with every blob's sha256 checked, and
+        reproduce the BM25 ranking bit-for-bit from the restored copy
+        (same oracle as bm25_topk)."""
         from onestools_eventlog_ray.pipelines.query import SearchEngine
+        from onestools_eventlog_ray.state.snapshot import (restore_index,
+                                                           snapshot_index)
         src = _ensure_index(sf_dir)
         snap = src.rstrip(os.sep) + "_snap"
         dst = src.rstrip(os.sep) + "_restored"
         snapshot_index(src, snap)
         if not os.path.exists(os.path.join(dst, "stats.json")):
-            restore_index(snap, dst, verify=True)
+            restore_index(snap, dst)
         eng = SearchEngine(dst)
         hits = eng.search(_BM25_TERMS, k=10, tie="e6")
         return _hits_to_table(hits)

@@ -159,13 +159,16 @@ def main(argv: list[str] | None = None) -> int:
                     help="comma-separated doc_ids")
 
     sn = sub.add_parser("snapshot",
-                        help="snapshot a complete index (ES _snapshot; "
-                             "hardlinks when same-fs, marker-gated)")
+                        help="snapshot a complete index or root (ES "
+                             "_snapshot): content-addressed blobs, "
+                             "hardlinked when same-fs, sha256 manifest "
+                             "written last")
     sn.add_argument("--index", required=True)
     sn.add_argument("--out", required=True, help="snapshot dir")
 
     rs = sub.add_parser("restore",
-                        help="restore a snapshot and validate layout")
+                        help="restore a snapshot: checks every file's "
+                             "sha256, then the layout of every index")
     rs.add_argument("--snapshot", required=True)
     rs.add_argument("--out", required=True, help="restored index dir")
 

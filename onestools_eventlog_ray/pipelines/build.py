@@ -127,9 +127,7 @@ def build_index(corpus_paths, index_dir: str,
             raise ValueError("row_filter requires row_filter_sig")
         read_kwargs["filter"] = row_filter
         excl_sig = f" flt={row_filter_sig}"
-        # fail loudly on an all-filtered corpus: Ray yields SCHEMA-LESS
-        # empty blocks for fully-pruned reads, which would crash deep in
-        # the map pass with an opaque KeyError; an empty index is also
+        # fail loudly on an all-filtered corpus: an empty index is
         # semantically broken (avgdl/idf undefined)
         import ray.data as _rd
         probe = _rd.read_parquet(corpus_paths,

@@ -20,6 +20,13 @@ the merged engine is therefore rank-identical to a single full build
 generations' leaves (every query family, the weight cache included),
 and the doc-sharded tier (``pipelines/serving.py``) runs one such
 engine per shard under the tier's global stats.
+
+The rest of the index lifecycle lives here too: compaction, reindex and
+update_by_query rebuild from a docstore read back as a corpus
+(``_docstore_corpus``), and ``shrink_index`` / ``split_index`` change
+the shard count through one writer (``_reshard``) that links every
+other file through ``state.snapshot``, the module that also owns
+snapshot and restore.
 """
 
 from __future__ import annotations
@@ -235,6 +242,31 @@ class CorpusWatcher:
                 ino.close()
 
 
+def _docstore_corpus(index_dirs: list[str]
+                     ) -> tuple[CorpusSpec, list[str]]:
+    """Read indexes' docstores back as a corpus: -> (the spec of their
+    ``doc_id``, ``content`` and meta columns, the sorted part files).
+    The docstores carry the full content, so compaction, reindex and
+    update_by_query are ``build_index`` over them.  A docstore built
+    with ``store_content=False`` has no content column and fails EARLY
+    instead of crashing mid-build (round-2 ADVICE, low)."""
+    import glob
+    from onestools_eventlog_ray.state import checkpoint as ckpt
+    stats = ckpt.read_stats(index_dirs[0])
+    if not stats.get("config", {}).get("store_content", True):
+        raise ValueError(f"{index_dirs[0]} was built with "
+                         "store_content=False: its docstore carries no "
+                         "content column to re-index")
+    part_files = sorted(f for d in index_dirs for f in
+                        glob.glob(os.path.join(d, "docstore", "*.parquet")))
+    if not part_files:
+        raise FileNotFoundError(f"no docstore under {index_dirs}")
+    return CorpusSpec(content_col="content", id_col="doc_id",
+                      key_cols=("doc_id",),
+                      meta_cols=tuple(stats.get("spec", {})
+                                      .get("meta_cols", ()))), part_files
+
+
 def compact_generations(index_root: str, out_dir: str,
                         cfg: EngineConfig = EngineConfig()) -> dict:
     """Merge all generations into ONE fresh index (the ES force-merge
@@ -245,27 +277,13 @@ def compact_generations(index_root: str, out_dir: str,
     build over the union of documents — proved in tests), with
     single-index query cost (one shard probe per term instead of one
     per generation)."""
-    import glob
-    from onestools_eventlog_ray.state import checkpoint as ckpt
     gens = list_generations(index_root)
     if not gens:
         raise FileNotFoundError(f"no generations under {index_root}")
-    part_files = sorted(f for g in gens for f in
-                        glob.glob(os.path.join(g, "docstore", "*.parquet")))
     # carry the generations' OWN spec through compaction: meta columns
     # survive (search_filtered / fetch_docs keep working on the compacted
-    # index), and a content-less docstore fails EARLY instead of crashing
-    # mid-build (round-2 ADVICE, low)
-    gen_stats = ckpt.read_stats(gens[0])
-    gen_cfg = gen_stats.get("config", {})
-    if not gen_cfg.get("store_content", True):
-        raise ValueError(
-            f"generations under {index_root} were built with "
-            "store_content=False: their docstores carry no content column, "
-            "so they cannot be re-indexed by compaction")
-    meta_cols = tuple(gen_stats.get("spec", {}).get("meta_cols", ()))
-    spec = CorpusSpec(content_col="content", id_col="doc_id",
-                      key_cols=("doc_id",), meta_cols=meta_cols)
+    # index)
+    spec, part_files = _docstore_corpus(gens)
     # compaction PHYSICALLY drops tombstoned docs (the segment-merge
     # analog of ES soft-deletes): the docs the root's engine masks (root
     # + per-generation tombstones) are excluded at the read, and the
@@ -295,29 +313,17 @@ def reindex(src_index: str, out_dir: str, where: dict | None = None,
     The new index carries its OWN stats (N/avgdl/df of the subset),
     exactly like a real ES reindex-into-smaller-index."""
     from onestools_eventlog_ray.pipelines.query import where_expr
-    from onestools_eventlog_ray.state import checkpoint as ckpt
     from onestools_eventlog_ray.state.tombstones import load_tombstones
-    import glob
-    src_stats = ckpt.read_stats(src_index)
-    if not src_stats.get("config", {}).get("store_content", True):
-        raise ValueError(f"{src_index} was built with store_content=False: "
-                         "its docstore cannot be reindexed")
-    meta_cols = tuple(src_stats.get("spec", {}).get("meta_cols", ()))
-    spec = CorpusSpec(content_col="content", id_col="doc_id",
-                      key_cols=("doc_id",), meta_cols=meta_cols)
+    spec, part_files = _docstore_corpus([src_index])
     where = where or {}
     for c in sorted(where):
-        if c != "doc_id" and c not in meta_cols:
+        if c != "doc_id" and c not in spec.meta_cols:
             raise KeyError(f"predicate column {c!r} not in docstore "
-                           f"meta columns {meta_cols}")
+                           f"meta columns {spec.meta_cols}")
     # the resume fingerprint's text of the predicate (Expressions have
     # no canonical form): "<c>=<v>" or "<c>in[<lo>,<hi>]", in column order
     sig = ";".join(f"{c}in[{v[0]},{v[1]}]" if isinstance(v, tuple)
                    else f"{c}={v}" for c, v in sorted(where.items()))
-    part_files = sorted(glob.glob(os.path.join(src_index, "docstore",
-                                               "*.parquet")))
-    if not part_files:
-        raise FileNotFoundError(f"no docstore under {src_index}")
     deleted = load_tombstones(src_index)
     report = build_index(part_files, out_dir, spec=spec, cfg=cfg,
                          exclude_doc_ids=deleted if deleted.size else None,
@@ -378,6 +384,62 @@ def index_diff(index_a: str, index_b: str) -> ray.data.Dataset:
     return folded.map_batches(status, batch_format="pyarrow")
 
 
+def _reshard(src_index: str, out_dir: str, P2: int, origin: dict) -> dict:
+    """Write ``src_index`` with ``P2`` term shards into ``out_dir``: the
+    one writer behind :func:`shrink_index` and :func:`split_index`.
+
+    Routing is ``md5(term) % P``, so with ``g = gcd(P, P2)`` a term of
+    target shard ``j`` sits in a source shard ``r`` with
+    ``r % g == j % g``.  One Ray task per target reads those sources,
+    keeps the rows with ``term_partition(term, P2) == j`` and writes
+    them term-sorted (K4) through ``write_shard``; a target with no rows
+    gets no file.  Every other file is linked through
+    ``state.snapshot.link_or_copy`` (the docstore, the manifest,
+    tombstones and the sidecars, which record their own
+    ``num_partitions``), and ``stats.json`` is rewritten with
+    ``num_partitions=P2`` plus ``origin``.  Corpus stats (N, avgdl, df)
+    are unchanged, so every BM25 score is bit-identical to the source's."""
+    import math
+    import ray
+    from onestools_eventlog_ray.state import checkpoint as ckpt
+    from onestools_eventlog_ray.state.snapshot import (index_files,
+                                                       link_or_copy)
+
+    stats = ckpt.read_stats(src_index)
+    P = int(stats["num_partitions"])
+    g = math.gcd(P, P2)
+
+    @ray.remote
+    def write_target(j: int) -> int:
+        import pyarrow as pa_
+        import pyarrow.parquet as pq_
+        from onestools_eventlog_ray.functions.hashing import term_partition
+        srcs = [os.path.join(src_index, "shards", f"part-{r:05d}.parquet")
+                for r in range(j % g, P, g)]
+        tbls = [pq_.read_table(s) for s in srcs if os.path.exists(s)]
+        if not tbls:
+            return 0
+        t = pa_.concat_tables(tbls)
+        t = t.filter(pa_.array(
+            term_partition(t["term"].combine_chunks(), P2) == j))
+        if not t.num_rows:
+            return 0
+        write_shard(t.sort_by("term"),
+                    os.path.join(out_dir, "shards", f"part-{j:05d}.parquet"))
+        return t.num_rows
+
+    jobs = [write_target.remote(j) for j in range(P2)]
+    for rel, path in index_files(src_index):
+        if rel != "stats.json" and not rel.startswith("shards" + os.sep):
+            link_or_copy(path, os.path.join(out_dir, rel))
+    n_postings = int(sum(ray.get(jobs)))
+    ckpt.write_stats(out_dir, {
+        **stats, "num_partitions": P2,
+        "config": dict(stats.get("config", {}), num_partitions=P2),
+        **origin})
+    return {"num_partitions": P2, "n_postings_rows": n_postings}
+
+
 def shrink_index(src_index: str, out_dir: str, factor: int = 2) -> dict:
     """ES ``_shrink``: reduce the shard count of an index WITHOUT
     rebuilding — the target shard count must divide the source count
@@ -387,104 +449,24 @@ def shrink_index(src_index: str, out_dir: str, factor: int = 2) -> dict:
     merge of old shards ``{r : r % P' == j}`` and every query keeps
     probing the right (now bigger) shard.
 
-    Per new shard, one Ray task reads its ``factor`` source part files
-    (terms are disjoint across them by construction), re-sorts by term
-    (K4 invariant) and writes atomically — O(index size / P') per task,
-    embarrassingly parallel, no shuffle.  The docstore and manifest are
-    HARDLINKED (copy fallback), like ES shrink hardlinks Lucene
-    segments; corpus stats (N, avgdl, df) are unchanged so every BM25
-    score is bit-identical to the source index (rank identity proven in
-    tests/test_round4h.py).  Positions shards merge the same way.
+    One Ray task per new shard merges its ``factor`` source part files
+    (:func:`_reshard`) — O(index size / P') per task, embarrassingly
+    parallel, no shuffle.  Every other file is HARDLINKED (copy
+    fallback), like ES shrink hardlinks Lucene segments; the
+    ``positions/`` and ``impacts/`` sidecars keep their own partition
+    count.  BM25 scores are bit-identical to the source index (rank
+    identity proven in tests/test_round4h.py).
 
     Reference parity: the original's index-lifecycle management keeps
     ES storage bounded (ElasticSearchStorage.cs index templates /
     rollover); shrink is the missing-shard-count half of that story."""
-    import shutil
-    import ray
     from onestools_eventlog_ray.state import checkpoint as ckpt
-
-    stats = ckpt.read_stats(src_index)
-    P = int(stats["num_partitions"])
+    P = int(ckpt.read_stats(src_index)["num_partitions"])
     if factor < 1 or P % factor:
         raise ValueError(f"factor {factor} must divide num_partitions {P}")
-    P2 = P // factor
-    os.makedirs(os.path.join(out_dir, "shards"), exist_ok=True)
-
-    @ray.remote
-    def merge_group(kind: str, j: int, srcs: list[str], dst: str) -> int:
-        import pyarrow as pa_
-        import pyarrow.parquet as pq_
-        tbls = [pq_.read_table(s) for s in srcs if os.path.exists(s)]
-        if not tbls:
-            return 0
-        t = pa_.concat_tables(tbls)
-        if kind == "pos":
-            t = t.sort_by([("term", "ascending"), ("doc_id", "ascending")])
-            ckpt.atomic_write_bytes(dst, lambda tmp: pq_.write_table(t, tmp))
-        else:
-            write_shard(t.sort_by("term"), dst)
-        return t.num_rows
-
-    jobs = []
-    for j in range(P2):
-        srcs = [os.path.join(src_index, "shards", f"part-{r:05d}.parquet")
-                for r in range(j, P, P2)]
-        dst = os.path.join(out_dir, "shards", f"part-{j:05d}.parquet")
-        jobs.append(merge_group.remote("shard", j, srcs, dst))
-
-    pos_src = os.path.join(src_index, "positions")
-    pos_rows = []
-    if os.path.isdir(pos_src):
-        os.makedirs(os.path.join(out_dir, "positions"), exist_ok=True)
-        for j in range(P2):
-            srcs = [os.path.join(pos_src, f"pos-{r:05d}.parquet")
-                    for r in range(j, P, P2)]
-            dst = os.path.join(out_dir, "positions", f"pos-{j:05d}.parquet")
-            pos_rows.append(merge_group.remote("pos", j, srcs, dst))
-
-    def _link_tree(sub: str) -> None:
-        src = os.path.join(src_index, sub)
-        if not os.path.isdir(src):
-            return
-        for root, _dirs, names in os.walk(src):
-            rel = os.path.relpath(root, src_index)
-            dst = os.path.join(out_dir, rel)
-            os.makedirs(dst, exist_ok=True)
-            for name in names:
-                s, d = os.path.join(root, name), os.path.join(dst, name)
-                if os.path.exists(d):
-                    continue
-                try:
-                    os.link(s, d)
-                except OSError:
-                    shutil.copy2(s, d)
-
-    # ann/ buckets are hyperplane-partitioned — independent of the term
-    # shard count — so they ride shard-count changes unchanged, like the
-    # docstore (round-5 lifecycle matrix)
-    for sub in ("docstore", "manifest", "tombstones", "ann"):
-        _link_tree(sub)
-
-    n_postings = int(sum(ray.get(jobs)))
-    new_stats = dict(stats)
-    new_stats["num_partitions"] = P2
-    new_stats["config"] = dict(stats.get("config", {}),
-                               num_partitions=P2)
-    new_stats["shrunk_from"] = {"src_index": src_index,
-                                "num_partitions": P, "factor": factor}
-    ckpt.write_stats(out_dir, new_stats)
-
-    if pos_rows:
-        import json
-        meta_p = os.path.join(pos_src, "_meta.json")
-        meta = json.load(open(meta_p)) if os.path.exists(meta_p) else {}
-        total = int(sum(ray.get(pos_rows)))
-        meta.update(num_partitions=P2, n_shards=P2, n_rows=total)
-        with open(os.path.join(out_dir, "positions", "_meta.json"),
-                  "w") as fh:
-            json.dump(meta, fh)
-    return {"num_partitions": P2, "n_postings_rows": n_postings,
-            "factor": factor}
+    rep = _reshard(src_index, out_dir, P // factor, {"shrunk_from": {
+        "src_index": src_index, "num_partitions": P, "factor": factor}})
+    return {**rep, "factor": factor}
 
 
 def split_index(src_index: str, out_dir: str, factor: int = 2) -> dict:
@@ -492,199 +474,20 @@ def split_index(src_index: str, out_dir: str, factor: int = 2) -> dict:
     rebuilding — the exact inverse of :func:`shrink_index`.  Every term
     in old shard ``r`` satisfies ``md5(term) % P == r``, so under the
     new count ``f*P`` it can only land in one of the ``f`` shards
-    ``{r, r+P, ..., r+(f-1)P}``; one Ray task per OLD shard recomputes
-    the vectorized term hash at the new modulus and scatters its rows
-    into those ``f`` files (terms stay disjoint and sorted, K4).  No
-    shuffle, O(shard) per task; docstore/manifest hardlinked; stats
-    unchanged -> BM25 bit-identity, like shrink.  ES uses the same
-    trick (routing-space subdivision) to split without reindexing."""
-    import shutil
-    import ray
+    ``{r, r+P, ..., r+(f-1)P}``; one Ray task per NEW shard ``j`` reads
+    old shard ``j % P`` and keeps the rows the vectorized term hash
+    routes to ``j`` (:func:`_reshard`; terms stay disjoint and sorted,
+    K4).  No shuffle; every other file hardlinked, sidecars keep their
+    own partition count; stats unchanged -> BM25 bit-identity, like
+    shrink.  ES uses the same trick (routing-space subdivision) to
+    split without reindexing."""
     from onestools_eventlog_ray.state import checkpoint as ckpt
-
-    stats = ckpt.read_stats(src_index)
-    P = int(stats["num_partitions"])
+    P = int(ckpt.read_stats(src_index)["num_partitions"])
     if factor < 1:
         raise ValueError(f"factor must be >= 1, got {factor}")
-    P2 = P * factor
-    os.makedirs(os.path.join(out_dir, "shards"), exist_ok=True)
-
-    @ray.remote
-    def scatter_shard(kind: str, src: str, r: int,
-                      dst_tpl: str) -> int:
-        import numpy as np_
-        import pyarrow as pa_
-        import pyarrow.parquet as pq_
-        from onestools_eventlog_ray.functions.hashing import term_partition
-        if not os.path.exists(src):
-            return 0
-        t = pq_.read_table(src)
-        if not t.num_rows:
-            return 0
-        pk = term_partition(t["term"].combine_chunks(), P2)
-        total = 0
-        for j in sorted(set(pk.tolist())):
-            assert j % P == r, (j, P, r)   # routing congruence invariant
-            sub = t.filter(pa_.array(pk == j))
-            dst = dst_tpl.format(j=j)
-            if kind == "pos":
-                sub = sub.sort_by([("term", "ascending"),
-                                   ("doc_id", "ascending")])
-                ckpt.atomic_write_bytes(
-                    dst, lambda tmp, sub=sub: pq_.write_table(sub, tmp))
-            else:
-                write_shard(sub.sort_by("term"), dst)
-            total += sub.num_rows
-        return total
-
-    jobs = []
-    for r in range(P):
-        src = os.path.join(src_index, "shards", f"part-{r:05d}.parquet")
-        jobs.append(scatter_shard.remote(
-            "shard", src, r,
-            os.path.join(out_dir, "shards", "part-{j:05d}.parquet")))
-
-    pos_src = os.path.join(src_index, "positions")
-    pos_rows = []
-    if os.path.isdir(pos_src):
-        os.makedirs(os.path.join(out_dir, "positions"), exist_ok=True)
-        for r in range(P):
-            src = os.path.join(pos_src, f"pos-{r:05d}.parquet")
-            pos_rows.append(scatter_shard.remote(
-                "pos", src, r,
-                os.path.join(out_dir, "positions", "pos-{j:05d}.parquet")))
-
-    def _link_tree(sub: str) -> None:
-        src = os.path.join(src_index, sub)
-        if not os.path.isdir(src):
-            return
-        for root, _dirs, names in os.walk(src):
-            rel = os.path.relpath(root, src_index)
-            dst = os.path.join(out_dir, rel)
-            os.makedirs(dst, exist_ok=True)
-            for name in names:
-                s, d = os.path.join(root, name), os.path.join(dst, name)
-                if os.path.exists(d):
-                    continue
-                try:
-                    os.link(s, d)
-                except OSError:
-                    shutil.copy2(s, d)
-
-    # ann/ buckets are hyperplane-partitioned — independent of the term
-    # shard count — so they ride shard-count changes unchanged, like the
-    # docstore (round-5 lifecycle matrix)
-    for sub in ("docstore", "manifest", "tombstones", "ann"):
-        _link_tree(sub)
-
-    n_postings = int(sum(ray.get(jobs)))
-    new_stats = dict(stats)
-    new_stats["num_partitions"] = P2
-    new_stats["config"] = dict(stats.get("config", {}), num_partitions=P2)
-    new_stats["split_from"] = {"src_index": src_index,
-                               "num_partitions": P, "factor": factor}
-    ckpt.write_stats(out_dir, new_stats)
-
-    if pos_rows:
-        import json
-        meta_p = os.path.join(pos_src, "_meta.json")
-        meta = json.load(open(meta_p)) if os.path.exists(meta_p) else {}
-        total = int(sum(ray.get(pos_rows)))
-        meta.update(num_partitions=P2,
-                    n_shards=len([f for f in os.listdir(
-                        os.path.join(out_dir, "positions"))
-                        if f.startswith("pos-")]),
-                    n_rows=total)
-        with open(os.path.join(out_dir, "positions", "_meta.json"),
-                  "w") as fh:
-            json.dump(meta, fh)
-    return {"num_partitions": P2, "n_postings_rows": n_postings,
-            "factor": factor}
-
-
-def snapshot_index(src_index: str, snap_dir: str) -> dict:
-    """ES ``_snapshot``: capture a restorable copy of an index with an
-    INTEGRITY MANIFEST — every file hardlinked (copy fallback) into the
-    snapshot plus a ``_snapshot.json`` recording per-file size and
-    sha256, so restores can verify nothing rotted in cold storage
-    (exactly what ES snapshot repositories store per segment file).
-    Hardlinks make the snapshot O(#files) regardless of index size —
-    safe because every index file is immutable once written (atomic
-    tmp+rename everywhere in this repo).
-
-    Reference parity: the original relies on ES's own snapshot
-    lifecycle for the exported indexes; this is that half of the
-    story for the native engine."""
-    import hashlib
-    import json
-    import shutil
-    if os.path.exists(os.path.join(snap_dir, "_snapshot.json")):
-        with open(os.path.join(snap_dir, "_snapshot.json")) as fh:
-            return json.load(fh)
-    files = {}
-    for root, _dirs, names in os.walk(src_index):
-        for name in sorted(names):
-            p = os.path.join(root, name)
-            rel = os.path.relpath(p, src_index)
-            h = hashlib.sha256()
-            with open(p, "rb") as fh:
-                for chunk in iter(lambda: fh.read(1 << 20), b""):
-                    h.update(chunk)
-            files[rel] = {"bytes": os.path.getsize(p),
-                          "sha256": h.hexdigest()}
-            dst = os.path.join(snap_dir, rel)
-            os.makedirs(os.path.dirname(dst), exist_ok=True)
-            if not os.path.exists(dst):
-                try:
-                    os.link(p, dst)
-                except OSError:
-                    shutil.copy2(p, dst)
-    manifest = {"src_index": src_index, "n_files": len(files),
-                "files": files}
-    tmp = os.path.join(snap_dir, "_snapshot.json.tmp")
-    with open(tmp, "w") as fh:
-        json.dump(manifest, fh, indent=1)
-    os.replace(tmp, os.path.join(snap_dir, "_snapshot.json"))
-    return manifest
-
-
-class SnapshotCorruptError(RuntimeError):
-    pass
-
-
-def restore_index(snap_dir: str, dst_index: str,
-                  verify: bool = True) -> dict:
-    """ES ``_restore``: materialize a snapshot as a serveable index.
-    With ``verify`` every file is re-hashed against the snapshot
-    manifest FIRST and a mismatch raises :class:`SnapshotCorruptError`
-    naming the bad file — restoring a silently-corrupt index is the
-    one failure mode a snapshot system must never have."""
-    import hashlib
-    import json
-    import shutil
-    with open(os.path.join(snap_dir, "_snapshot.json")) as fh:
-        manifest = json.load(fh)
-    if verify:
-        for rel, meta in sorted(manifest["files"].items()):
-            p = os.path.join(snap_dir, rel)
-            if not os.path.exists(p):
-                raise SnapshotCorruptError(f"missing file {rel}")
-            h = hashlib.sha256()
-            with open(p, "rb") as fh:
-                for chunk in iter(lambda: fh.read(1 << 20), b""):
-                    h.update(chunk)
-            if h.hexdigest() != meta["sha256"]:
-                raise SnapshotCorruptError(f"sha mismatch {rel}")
-    for rel in sorted(manifest["files"]):
-        src = os.path.join(snap_dir, rel)
-        dst = os.path.join(dst_index, rel)
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        if not os.path.exists(dst):
-            try:
-                os.link(src, dst)
-            except OSError:
-                shutil.copy2(src, dst)
-    return {"n_files": manifest["n_files"], "verified": bool(verify)}
+    rep = _reshard(src_index, out_dir, P * factor, {"split_from": {
+        "src_index": src_index, "num_partitions": P, "factor": factor}})
+    return {**rep, "factor": factor}
 
 
 def update_by_query(src_index: str, out_dir: str,
@@ -713,19 +516,10 @@ def update_by_query(src_index: str, out_dir: str,
     import ray.data
 
     from onestools_eventlog_ray.functions.analyzer import tokenize_array
-    from onestools_eventlog_ray.state import checkpoint as ckpt
     from onestools_eventlog_ray.state.tombstones import load_tombstones
 
-    src_stats = ckpt.read_stats(src_index)
-    if not src_stats.get("config", {}).get("store_content", True):
-        raise ValueError(f"{src_index} was built with store_content=False")
-    meta_cols = tuple(src_stats.get("spec", {}).get("meta_cols", ()))
-    spec = CorpusSpec(content_col="content", id_col="doc_id",
-                      key_cols=("doc_id",), meta_cols=meta_cols)
-    part_files = sorted(glob.glob(os.path.join(src_index, "docstore",
-                                               "*.parquet")))
-    if not part_files:
-        raise FileNotFoundError(f"no docstore under {src_index}")
+    spec, part_files = _docstore_corpus([src_index])
+    meta_cols = spec.meta_cols
     deleted = load_tombstones(src_index)
     terms = sorted(set(match_terms))
     metas = dict(set_meta or {})
@@ -735,10 +529,6 @@ def update_by_query(src_index: str, out_dir: str,
                            f"meta columns {meta_cols}")
 
     def script(batch: pa.Table) -> pa.Table:
-        if deleted.size:
-            live = ~np.isin(batch["doc_id"].to_numpy(zero_copy_only=False),
-                            deleted)
-            batch = batch.filter(pa.array(live))
         if batch.num_rows == 0:
             return batch.append_column("n_upd_p",
                                        pa.array([], pa.int64()))
@@ -781,7 +571,8 @@ def update_by_query(src_index: str, out_dir: str,
         .map_batches(script, batch_format="pyarrow") \
         .write_parquet(corpus_dir)
     files = sorted(glob.glob(os.path.join(corpus_dir, "*.parquet")))
-    report = build_index(files, out_dir, spec=spec, cfg=cfg)
+    report = build_index(files, out_dir, spec=spec, cfg=cfg,
+                         exclude_doc_ids=deleted if deleted.size else None)
     # n_updated read back from the built postings: the marker's df IS
     # the number of rewritten docs (pick a token absent from the
     # corpus; one shard-pruned term lookup, no extra corpus pass)

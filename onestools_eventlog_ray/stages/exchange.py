@@ -102,6 +102,8 @@ def _map_combined(spec, pattern: str, num_partitions: int, num_groups: int,
     slim_parts = []
     stat_rows = {"n_docs": 0, "total_tokens": 0, "max_doc_id": -1, "acc": 0}
     for block in blocks:
+        if not block.num_rows:
+            continue    # a file the read's filter pruned whole: no schema
         b = add_doc_id(block, spec)
         triples, doc_stats = doc_term_table(b["doc_id"], b["content"], pattern)
 

@@ -1,221 +1,148 @@
-"""Index snapshot / restore — the ES ``_snapshot`` API analog.
+"""Index snapshot / restore — the ES ``_snapshot`` API analog — and the
+one module that knows the files of an index tree.
 
-A snapshot is a self-contained copy of everything the query paths read:
-``shards/``, ``docstore/``, ``manifest/`` (stats + layout version +
-partition records), tombstones, and any sidecars present (``positions/``,
-``ann/``, ``field-*/`` multi-field subindexes).  Restore copies it back
-under a fresh root and validates the layout version before the first
-query (the same ``check_layout`` gate ``SearchEngine`` enforces, so a
-snapshot from an incompatible engine version refuses to serve instead
-of silently mis-sharding — round-2 ADVICE semantics).
+Three helpers carry every file operation of the index lifecycle:
 
-Files are copied atomically (tmp + rename) and the snapshot carries a
-``_SNAPSHOT_DONE`` marker written LAST, so a crashed snapshot is never
-mistaken for a complete one (the reference's atomic bulk-sink contract,
+- :func:`index_files` walks every regular file under a tree (a plain
+  index, a generational root, a multifield root, with whatever sidecars
+  they hold), so no list of subdirectories is kept anywhere;
+- :func:`link_or_copy` places one file atomically: tmp name, hardlink
+  (``shutil.copy2`` when the link fails), then ``os.replace``;
+- :func:`_sha256_file` hashes one file.
+
+Snapshots live in a content-addressed REPOSITORY (the ES incremental
+snapshot model): ``blobs/<aa>/<sha256>`` holds each distinct file
+content once, and ``snapshots/<name>.json`` lists (path, sha, size).
+The manifest is written LAST, so it is also the completion marker: a
+crashed snapshot is never mistaken for a complete one (the reference's
+atomic bulk-sink contract,
 ``/root/reference/OneSTools.EventLog.Exporter.Core/ElasticSearchStorage.cs:293-320``).
-Hardlinks are used when source and destination share a filesystem —
-a snapshot of a multi-GB index is then metadata-only, exactly how ES
-incremental snapshots reuse immutable segment files (our shard/docstore
-parts are immutable once written, same invariant).
+Blobs are hardlinked when repository and index share a filesystem, so a
+snapshot of a multi-GB index is metadata-only, exactly how ES snapshots
+reuse immutable segment files (our shard/docstore parts are immutable
+once written, same invariant).
+
+:func:`snapshot_index` / :func:`restore_index` store and restore one
+snapshot under a fixed name; :func:`snapshot_to_repo` /
+:func:`restore_from_repo` take the name.  Restore checks every file's
+sha256 and then the layout version of every index in the restored tree
+before it may serve, so a corrupt blob or a snapshot from an
+incompatible engine refuses instead of silently mis-serving.  Shard
+count changes (``incremental.shrink_index`` / ``split_index``) link
+their unchanged files through the same two helpers.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 
-_MARKER = "_SNAPSHOT_DONE"
-_SUBDIRS = ("shards", "docstore", "manifest", "tombstones",
-            "positions", "ann")
+_REPO_SNAPDIR = "snapshots"
+_REPO_BLOBDIR = "blobs"
+#: the name :func:`snapshot_index` stores its one snapshot under
+_SNAP_NAME = "snapshot"
 
 
-def _copy_tree(src: str, dst: str) -> int:
-    """Hardlink-or-copy every file under src into dst; returns count."""
-    n = 0
-    for root, _dirs, files in os.walk(src):
-        rel = os.path.relpath(root, src)
-        out = os.path.join(dst, rel) if rel != "." else dst
-        os.makedirs(out, exist_ok=True)
+class SnapshotCorruptError(OSError):
+    """A snapshot blob is missing or no longer matches its sha256."""
+
+
+def index_files(root: str) -> list[tuple[str, str]]:
+    """Every regular file under ``root`` as sorted (relpath, abspath)."""
+    out = []
+    for d, _dirs, files in os.walk(root):
         for f in files:
-            s = os.path.join(root, f)
-            d = os.path.join(out, f)
-            tmp = d + ".tmp"
-            try:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                os.link(s, tmp)             # metadata-only when possible
-            except OSError:
-                shutil.copy2(s, tmp)
-            os.replace(tmp, d)
-            n += 1
-    return n
+            p = os.path.join(d, f)
+            if os.path.isfile(p):
+                out.append((os.path.relpath(p, root), p))
+    return sorted(out)
 
 
-def snapshot_index(index_dir: str, snap_dir: str) -> dict:
-    """Snapshot a complete index into ``snap_dir``.  Refuses to
-    snapshot an index without a stats manifest (nothing to serve).
-    Idempotent: an existing complete snapshot is left untouched."""
-    from onestools_eventlog_ray.state import checkpoint as ckpt
-    stats = ckpt.read_stats(index_dir)          # raises if incomplete
-    if os.path.exists(os.path.join(snap_dir, _MARKER)):
-        with open(os.path.join(snap_dir, _MARKER)) as f:
-            return json.load(f)
-    os.makedirs(snap_dir, exist_ok=True)
-    n_files = 0
-    copied = []
-    for sub in _SUBDIRS:
-        s = os.path.join(index_dir, sub)
-        if os.path.isdir(s):
-            n_files += _copy_tree(s, os.path.join(snap_dir, sub))
-            copied.append(sub)
-    for entry in os.listdir(index_dir):         # field-*/ subindexes, markers
-        p = os.path.join(index_dir, entry)
-        if entry.startswith("field-") and os.path.isdir(p):
-            n_files += _copy_tree(p, os.path.join(snap_dir, entry))
-            copied.append(entry)
-        elif os.path.isfile(p):
-            n_files += _copy_tree_file(p, os.path.join(snap_dir, entry))
-    info = {"n_files": n_files, "subdirs": sorted(copied),
-            "n_docs": int(stats["n_docs"]),
-            "layout_version": stats.get("layout_version")}
-    tmp = os.path.join(snap_dir, _MARKER + ".tmp")
-    with open(tmp, "w") as f:
-        json.dump(info, f)
-    os.replace(tmp, os.path.join(snap_dir, _MARKER))
-    return info
-
-
-def _copy_tree_file(src: str, dst: str) -> int:
-    tmp = dst + ".tmp"
+def link_or_copy(src: str, dst: str) -> None:
+    """Place ``src`` at ``dst`` atomically: a hardlink when both sit on
+    one filesystem (metadata-only), else a copy, written under a tmp
+    name and renamed, so ``dst`` is never half-written."""
+    if os.path.exists(dst) and os.path.samefile(src, dst):
+        return              # rename(2) of two links to one file is a no-op
+    os.makedirs(os.path.dirname(dst), exist_ok=True)
+    tmp = f"{dst}.tmp.{os.getpid()}"
     try:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
         os.link(src, tmp)
     except OSError:
         shutil.copy2(src, tmp)
     os.replace(tmp, dst)
-    return 1
-
-
-def restore_index(snap_dir: str, dest_dir: str) -> dict:
-    """Restore a snapshot into ``dest_dir`` and validate it serves:
-    requires the completion marker, copies everything back, then runs
-    the stats-manifest + layout-version gate."""
-    marker = os.path.join(snap_dir, _MARKER)
-    if not os.path.exists(marker):
-        raise FileNotFoundError(
-            f"no complete snapshot at {snap_dir} (missing {_MARKER})")
-    os.makedirs(dest_dir, exist_ok=True)
-    for entry in os.listdir(snap_dir):
-        if entry.startswith(_MARKER):
-            continue
-        p = os.path.join(snap_dir, entry)
-        if os.path.isdir(p):
-            _copy_tree(p, os.path.join(dest_dir, entry))
-        else:
-            _copy_tree_file(p, os.path.join(dest_dir, entry))
-    from onestools_eventlog_ray.state import checkpoint as ckpt
-    stats = ckpt.read_stats(dest_dir)
-    ckpt.check_layout(stats, dest_dir)
-    with open(marker) as f:
-        return json.load(f)
-
-
-# ---------------------------------------------------------------------------
-# Snapshot REPOSITORY: content-addressed blob pool + named snapshots
-# (the ES `_snapshot` repository format — incremental across generations)
-# ---------------------------------------------------------------------------
-
-_REPO_SNAPDIR = "snapshots"
-_REPO_BLOBDIR = "blobs"
 
 
 def _sha256_file(path: str, bufsize: int = 1 << 20) -> str:
-    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as f:
-        while True:
-            chunk = f.read(bufsize)
-            if not chunk:
-                break
+        for chunk in iter(lambda: f.read(bufsize), b""):
             h.update(chunk)
     return h.hexdigest()
 
 
-def _index_files(index_dir: str):
-    """Every file the query paths read, as (relpath, abspath), sorted —
-    the same walk set snapshot_index copies."""
-    out = []
-    for sub in _SUBDIRS:
-        s = os.path.join(index_dir, sub)
-        if os.path.isdir(s):
-            for root, _d, files in os.walk(s):
-                for f in sorted(files):
-                    p = os.path.join(root, f)
-                    out.append((os.path.relpath(p, index_dir), p))
-    for entry in sorted(os.listdir(index_dir)):
-        p = os.path.join(index_dir, entry)
-        if entry.startswith("field-") and os.path.isdir(p):
-            for root, _d, files in os.walk(p):
-                for f in sorted(files):
-                    q = os.path.join(root, f)
-                    out.append((os.path.relpath(q, index_dir), q))
-        elif os.path.isfile(p):
-            out.append((entry, p))
-    return sorted(out)
+def _blob_path(repo_dir: str, sha: str) -> str:
+    return os.path.join(repo_dir, _REPO_BLOBDIR, sha[:2], sha)
+
+
+def snapshot_index(index_dir: str, snap_dir: str) -> dict:
+    """Snapshot an index (or a generational / multifield root) into a
+    repository at ``snap_dir`` under a fixed name.  Idempotent: an
+    existing complete snapshot is left untouched and its summary
+    returned."""
+    return snapshot_to_repo(index_dir, snap_dir, _SNAP_NAME)
+
+
+def restore_index(snap_dir: str, dest_dir: str) -> dict:
+    """Restore the snapshot :func:`snapshot_index` stored at
+    ``snap_dir`` into ``dest_dir`` (sha256- and layout-checked)."""
+    return restore_from_repo(snap_dir, _SNAP_NAME, dest_dir)
 
 
 def snapshot_to_repo(index_dir: str, repo_dir: str, snap_name: str) -> dict:
-    """Snapshot an index into a content-addressed REPOSITORY — the ES
+    """Snapshot a tree into a content-addressed REPOSITORY — the ES
     incremental-snapshot model: blobs are stored once per distinct file
     content (``blobs/<aa>/<sha256>``), a named manifest lists
     (relpath, sha, size), and a later snapshot of a mutated index
     re-uploads ONLY the blobs the mutation created (our shard/docstore
     parts are immutable once written, so generational adds / tombstone
     writes / compactions touch a small file set; everything else is
-    manifest-only reuse).
+    manifest-only reuse).  Refuses a tree that holds no ``stats.json``
+    (nothing to serve).
 
     100-TB story: each data node would hash+upload its own shard files
     (the walk is per-file and stateless — trivially a map_batches over
     the file list); the driver writes only the manifest.  Blob writes
     are tmp + atomic rename and content-keyed, hence idempotent under
     retries and concurrent snapshots.  Returns
-    {n_files, n_bytes, n_blobs_new, n_blobs_reused}."""
-    from onestools_eventlog_ray.state import checkpoint as ckpt
-    stats = ckpt.read_stats(index_dir)          # refuse incomplete index
+    {snap_name, n_files, n_bytes, n_blobs_new, n_blobs_reused}."""
+    walk = index_files(index_dir)
+    if not any(os.path.basename(rel) == "stats.json" for rel, _ in walk):
+        raise FileNotFoundError(f"no stats.json under {index_dir}: "
+                                "not a complete index")
     snaps = os.path.join(repo_dir, _REPO_SNAPDIR)
-    blobs = os.path.join(repo_dir, _REPO_BLOBDIR)
     os.makedirs(snaps, exist_ok=True)
-    os.makedirs(blobs, exist_ok=True)
     man_path = os.path.join(snaps, snap_name + ".json")
     if os.path.exists(man_path):                # idempotent re-snapshot
         with open(man_path) as f:
             return json.load(f)["summary"]
     files, new, reused, total = [], 0, 0, 0
-    for rel, path in _index_files(index_dir):
+    for rel, path in walk:
         sha = _sha256_file(path)
         size = os.path.getsize(path)
-        bdir = os.path.join(blobs, sha[:2])
-        bpath = os.path.join(bdir, sha)
+        bpath = _blob_path(repo_dir, sha)
         if os.path.exists(bpath):
             reused += 1
         else:
-            os.makedirs(bdir, exist_ok=True)
-            tmp = bpath + f".tmp.{os.getpid()}"
-            try:
-                os.link(path, tmp)
-            except OSError:
-                shutil.copy2(path, tmp)
-            os.replace(tmp, bpath)
+            link_or_copy(path, bpath)
             new += 1
         files.append({"path": rel, "sha": sha, "size": size})
         total += size
     summary = {"snap_name": snap_name, "n_files": len(files),
                "n_bytes": total, "n_blobs_new": new,
-               "n_blobs_reused": reused,
-               "n_docs": int(stats["n_docs"]),
-               "layout_version": stats.get("layout_version")}
+               "n_blobs_reused": reused}
     tmp = man_path + f".tmp.{os.getpid()}"
     with open(tmp, "w") as f:
         json.dump({"summary": summary, "files": files}, f)
@@ -224,28 +151,29 @@ def snapshot_to_repo(index_dir: str, repo_dir: str, snap_name: str) -> dict:
 
 
 def restore_from_repo(repo_dir: str, snap_name: str, dest_dir: str) -> dict:
-    """Materialize a named repository snapshot into ``dest_dir`` with
-    per-file sha256 integrity verification, then run the layout gate
-    before it may serve (a corrupt or cross-version blob refuses,
-    never mis-serves)."""
+    """Materialize a named repository snapshot into ``dest_dir``.  Every
+    blob's sha256 is checked against the manifest before it is placed
+    (:class:`SnapshotCorruptError` on a mismatch or a missing blob),
+    then every index in the restored tree (each directory holding a
+    ``stats.json``: a plain index, each ``gen-*``, each ``field-*``)
+    must pass the layout gate before it may serve."""
+    from onestools_eventlog_ray.state import checkpoint as ckpt
     man_path = os.path.join(repo_dir, _REPO_SNAPDIR, snap_name + ".json")
     if not os.path.exists(man_path):
         raise FileNotFoundError(f"no snapshot '{snap_name}' in {repo_dir}")
     with open(man_path) as f:
         man = json.load(f)
-    blobs = os.path.join(repo_dir, _REPO_BLOBDIR)
     for ent in man["files"]:
-        bpath = os.path.join(blobs, ent["sha"][:2], ent["sha"])
-        got = _sha256_file(bpath)
+        bpath = _blob_path(repo_dir, ent["sha"])
+        got = _sha256_file(bpath) if os.path.exists(bpath) else "missing"
         if got != ent["sha"]:
-            raise IOError(f"blob corrupt for {ent['path']}: "
-                          f"{got} != {ent['sha']}")
-        dst = os.path.join(dest_dir, ent["path"])
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        _copy_tree_file(bpath, dst)
-    from onestools_eventlog_ray.state import checkpoint as ckpt
-    stats = ckpt.read_stats(dest_dir)
-    ckpt.check_layout(stats, dest_dir)
+            raise SnapshotCorruptError(f"blob corrupt for {ent['path']}: "
+                                       f"{got} != {ent['sha']}")
+        link_or_copy(bpath, os.path.join(dest_dir, ent["path"]))
+    for ent in man["files"]:
+        if os.path.basename(ent["path"]) == "stats.json":
+            d = os.path.join(dest_dir, os.path.dirname(ent["path"]))
+            ckpt.check_layout(ckpt.read_stats(d), d)
     return man["summary"]
 
 
@@ -267,7 +195,7 @@ def delete_repo_snapshot(repo_dir: str, snap_name: str) -> dict:
                 live.update(e["sha"] for e in json.load(f)["files"])
     removed = 0
     for sha in sorted(dead - live):
-        bpath = os.path.join(repo_dir, _REPO_BLOBDIR, sha[:2], sha)
+        bpath = _blob_path(repo_dir, sha)
         if os.path.exists(bpath):
             os.unlink(bpath)
             removed += 1

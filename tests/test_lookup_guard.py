@@ -3,7 +3,9 @@ ordinals come from the weight cache, tf/dl from the one postings
 helper, tombstones from the ``live`` mask, and index files are read
 through the handles the engine's readers opened.  The package AST is
 walked, so a second blob decode, a tombstone ``np.isin``, a per-call
-file read or a second ``where`` builder added anywhere fails here."""
+file read or a second ``where`` builder added anywhere fails here.  The
+index lifecycle has the same shape: one module links, copies and hashes
+index files, and shrink and split share one shard writer."""
 
 import ast
 import os
@@ -167,3 +169,35 @@ def test_one_bm25_scorer_over_one_or_more_generations():
                 if isinstance(node, ast.Call)
                 and _names(node.func) & {"idf", "idf_fn"}
                 or isinstance(node, ast.alias) and node.name == "idf"]
+
+
+def test_one_file_walk_for_the_index_lifecycle():
+    """``state/snapshot.py`` is the one module that links, copies and
+    hashes index files: ``os.link``, ``shutil.copy2`` and the streaming
+    ``hashlib.sha256()`` file hash appear nowhere else; ``incremental``
+    defines no snapshot format of its own; and ``shrink_index`` and
+    ``split_index`` share one shard writer, ``_reshard``."""
+    import inspect
+    from onestools_eventlog_ray.pipelines import incremental
+    found = set()
+    for path, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and (node.func.attr in ("link", "copy2")
+                         or node.func.attr == "sha256" and not node.args):
+                found.add((path, node.func.attr))
+    assert found == {("state/snapshot.py", "link"),
+                     ("state/snapshot.py", "copy2"),
+                     ("state/snapshot.py", "sha256")}
+    tree = ast.parse(inspect.getsource(incremental))
+    defined = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert not defined & {"snapshot_index", "restore_index",
+                          "SnapshotCorruptError"}
+    writers = {scope for node, scope in _scoped(tree)
+               if isinstance(node, ast.Call)
+               and "write_shard" in _names(node.func)}
+    assert writers == {"_reshard.write_target"}
+    for fn in (incremental.shrink_index, incremental.split_index):
+        assert "_reshard" in _names(ast.parse(inspect.getsource(fn)))

@@ -297,14 +297,15 @@ def test_shrink_requires_divisible_factor(index_dir, tmp_path):
         shrink_index(index_dir, str(tmp_path / "bad"), factor=3)
 
 
-def test_shrink_term_disjointness(index_dir, tmp_path):
-    """Every term appears exactly once in the shrunk shard set, in its
-    routing-congruent shard, sorted (K4)."""
+@pytest.mark.parametrize("op,P2", [("shrink", 8), ("split", 32)])
+def test_shrink_term_disjointness(index_dir, tmp_path, op, P2):
+    """Every term appears exactly once in the shrunk (or split) shard
+    set, in its routing-congruent shard, sorted (K4)."""
     import glob
     from onestools_eventlog_ray.functions.hashing import term_partition_one
-    from onestools_eventlog_ray.pipelines.incremental import shrink_index
-    out = str(tmp_path / "shrunk2")
-    shrink_index(index_dir, out, factor=2)
+    from onestools_eventlog_ray.pipelines import incremental
+    out = str(tmp_path / "resharded")
+    getattr(incremental, f"{op}_index")(index_dir, out, factor=2)
     seen = {}
     for f in glob.glob(os.path.join(out, "shards", "part-*.parquet")):
         pkey = int(os.path.basename(f)[5:10])
@@ -313,7 +314,7 @@ def test_shrink_term_disjointness(index_dir, tmp_path):
         for t in terms:
             assert t not in seen
             seen[t] = pkey
-            assert term_partition_one(t, 8) == pkey
+            assert term_partition_one(t, P2) == pkey
     assert seen
 
 
@@ -426,29 +427,30 @@ def test_serial_diff_bruteforce():
 
 
 def test_snapshot_restore_verify_and_corruption(index_dir, tmp_path):
-    from onestools_eventlog_ray.pipelines.incremental import (
-        SnapshotCorruptError, restore_index, snapshot_index)
+    import json
     from onestools_eventlog_ray.pipelines.query import SearchEngine
+    from onestools_eventlog_ray.state.snapshot import (
+        SnapshotCorruptError, restore_index, snapshot_index)
     snap = str(tmp_path / "snap")
     dst = str(tmp_path / "restored")
     man = snapshot_index(index_dir, snap)
     assert man["n_files"] > 3
     # snapshot is idempotent (returns the recorded manifest)
     assert snapshot_index(index_dir, snap) == man
-    rep = restore_index(snap, dst, verify=True)
-    assert rep == {"n_files": man["n_files"], "verified": True}
+    assert restore_index(snap, dst) == man
     a, b = SearchEngine(index_dir), SearchEngine(dst)
     for terms in (["spark", "window"], ["join", "merge", "vector"]):
         assert a.search(terms, 25) == b.search(terms, 25)
-    # corrupt one snapshot file -> restore must refuse
-    victim = os.path.join(snap, "stats.json")
+    # corrupt the stats.json blob -> restore must refuse
+    with open(os.path.join(snap, "snapshots", "snapshot.json")) as fh:
+        sha = next(e["sha"] for e in json.load(fh)["files"]
+                   if e["path"] == "stats.json")
+    victim = os.path.join(snap, "blobs", sha[:2], sha)
     os.unlink(victim)                 # break the hardlink, then rewrite
-    with open(victim, "a") as fh:
-        pass
     with open(victim, "w") as fh:
         fh.write("{}")
     with pytest.raises(SnapshotCorruptError):
-        restore_index(snap, str(tmp_path / "r2"), verify=True)
+        restore_index(snap, str(tmp_path / "r2"))
 
 
 def test_entropy_scores_bruteforce(docs_tbl):

@@ -82,6 +82,27 @@ def test_update_by_query_conjunctive_and_tombstones(ubq_root):
     assert SearchEngine(out3).N == 4
 
 
+def test_exclusion_that_prunes_a_whole_file(ubq_root):
+    """``exclude_doc_ids`` (the tombstone path of compaction, reindex and
+    update_by_query) may drop every row of one input file: that file's
+    empty read block is skipped, not mapped."""
+    from onestools_eventlog_ray.config import EngineConfig
+    from onestools_eventlog_ray.pipelines.build import build_index
+    from onestools_eventlog_ray.pipelines.query import SearchEngine
+    from onestools_eventlog_ray.sources.corpus import DOCUMENTS_SPEC
+    root, _ = ubq_root
+    docs = pq.read_table(str(root / "docs.parquet"))
+    paths = [str(root / "first3.parquet"), str(root / "last2.parquet")]
+    pq.write_table(docs.slice(0, 3), paths[0])
+    pq.write_table(docs.slice(3), paths[1])
+    out = str(root / "excl")
+    build_index(paths, out, spec=DOCUMENTS_SPEC,
+                cfg=EngineConfig(num_partitions=4), exclude_doc_ids=[4, 5])
+    eng = SearchEngine(out)
+    assert eng.N == 3
+    assert {d for d, _ in eng.search(["merge"], k=10)} == {2}
+
+
 def test_update_by_query_rejects_bad_meta(ubq_root):
     from onestools_eventlog_ray.pipelines.incremental import update_by_query
     root, src = ubq_root

@@ -1,13 +1,15 @@
 """Sidecar × lifecycle matrix (round-4 verdict item #6).
 
 One parametrized test asserting each sidecar — positions (phrase.py),
-ANN buckets (ann.py), multi-field subindexes (multifield.py) — survives
-every lifecycle operation defined for it with IDENTICAL query results:
+ANN buckets (ann.py), impacts (sparse.py), multi-field subindexes
+(multifield.py) — survives every lifecycle operation defined for it
+with IDENTICAL query results:
 
 | sidecar    | delete | shrink | split | snapshot/restore | add_gen | compact |
 |------------|--------|--------|-------|------------------|---------|---------|
 | positions  |  yes   |  yes   |  yes  |       yes        |  (1)    |  (1)    |
 | ann        |  yes   |  yes   |  yes  |       yes        |  yes    |  yes    |
+| sparse     |  (3)   |  yes   |  yes  |       yes        |  (1)    |  (1)    |
 | multifield |  yes   | (2)    | (2)   |       yes        |  (1)    |  (1)    |
 
 (1) generational positions / multifield engines are not a defined
@@ -16,11 +18,17 @@ every lifecycle operation defined for it with IDENTICAL query results:
     sidecars are rebuilt from the compacted docstore — by design, not a gap.
 (2) a multifield ROOT has no shard count of its own; shrink/split apply
     per FIELD index, which is exactly what the matrix rows test.
+(3) SparseEngine masks tombstones through the same ``doc_mask`` as every
+    BM25 path.
 
-Round-5 product fixes this matrix forced: PhraseEngine now masks
-tombstones (deleted docs kept matching phrases), and shrink/split
-hardlink ``ann/`` through (hyperplane buckets are independent of the
-term-shard count).
+A generational root snapshots and restores as one tree: the restored
+root serves through ``SearchEngine`` exactly like the original.
+
+Product fixes this matrix forced: PhraseEngine masks tombstones
+(deleted docs kept matching phrases), and shrink/split/snapshot link
+every file but the term shards through ``state.snapshot.index_files``
+(the ``ann/`` buckets and then the ``impacts/`` sidecar were dropped by
+hand-kept subdirectory lists).
 """
 
 import os
@@ -37,6 +45,10 @@ CFG = EngineConfig(num_partitions=8)
 MF_BOOSTS = {"text": 1.0, "source": 2.0}     # documents-table fields
 MF_TERMS = ["spark", "window", "vector"]
 ANN_DIM = 16
+# synth corpus (seed=42) tokens: two common keywords and one mid-df
+# identifier, so the top-k has distinct scores
+SPARSE_QW = {"import": 2_000_000, "class": 1_000_000,
+             "v15c15d69dcd4": 500_000}
 
 
 # ---------------------------------------------------------------------------
@@ -46,14 +58,17 @@ ANN_DIM = 16
 @pytest.fixture(scope="module")
 def base_index(ray_session, tmp_path_factory, small_corpus_dir,
                small_corpus):
-    """Main index + positions sidecar + nested ann/ buckets."""
+    """Main index + positions and impacts sidecars + nested ann/
+    buckets."""
     import ray.data
     from onestools_eventlog_ray.pipelines.ann import build_ann_index
     from onestools_eventlog_ray.pipelines.build import build_index
     from onestools_eventlog_ray.pipelines.phrase import build_position_index
+    from onestools_eventlog_ray.pipelines.sparse import build_impact_index
     idx = str(tmp_path_factory.mktemp("life_idx"))
     build_index(small_corpus_dir, idx, cfg=CFG)
     build_position_index(small_corpus_dir, idx, cfg=CFG)
+    build_impact_index(small_corpus_dir, idx, cfg=CFG)
     rng = np.random.default_rng(5)
     vecs = rng.normal(0, 1, size=(120, ANN_DIM))
     tbl = pa.table({
@@ -97,6 +112,11 @@ def q_ann(idx, vecs, **_):
     return [a.query(v, k=10, hamming=1) for v in vecs[:4]]
 
 
+def q_sparse(idx, **_):
+    from onestools_eventlog_ray.pipelines.sparse import SparseEngine
+    return SparseEngine(idx).search(SPARSE_QW, k=20)
+
+
 def q_mf(root, **_):
     from onestools_eventlog_ray.pipelines.multifield import MultiFieldEngine
     return MultiFieldEngine(root, MF_BOOSTS).search(MF_TERMS, k=20)
@@ -135,12 +155,12 @@ def op_split(src, tmp, fields=None):
 
 
 def op_snap_restore(src, tmp, fields=None):
-    from onestools_eventlog_ray.pipelines.incremental import (restore_index,
-                                                              snapshot_index)
+    from onestools_eventlog_ray.state.snapshot import (restore_index,
+                                                       snapshot_index)
     snap = os.path.join(str(tmp), "snap")
     dst = os.path.join(str(tmp), "restored")
     snapshot_index(src, snap)
-    restore_index(snap, dst, verify=True)
+    restore_index(snap, dst)
     return dst
 
 
@@ -149,7 +169,7 @@ LIFECYCLE_OPS = {"shrink": op_shrink, "split": op_split,
 
 
 @pytest.mark.parametrize("sidecar,op", [
-    (s, o) for s in ("positions", "ann", "multifield")
+    (s, o) for s in ("positions", "ann", "sparse", "multifield")
     for o in ("shrink", "split", "snapshot_restore")
     if not (s == "multifield" and o in ())])
 def test_lifecycle_matrix_identity(sidecar, op, base_index, base_mf,
@@ -168,11 +188,39 @@ def test_lifecycle_matrix_identity(sidecar, op, base_index, base_mf,
         assert base_res                       # phrase actually matches
         out = LIFECYCLE_OPS[op](idx, tmp_path)
         assert q_positions(out, phrase_terms) == base_res
+    elif sidecar == "sparse":
+        base_res = q_sparse(idx)
+        assert base_res
+        out = LIFECYCLE_OPS[op](idx, tmp_path)
+        assert q_sparse(out) == base_res
     else:
         base_res = q_ann(idx, vecs)
         assert any(r for r in base_res)
         out = LIFECYCLE_OPS[op](idx, tmp_path)
         assert q_ann(out, vecs) == base_res
+
+
+def test_generational_root_snapshot_restore(ray_session, small_corpus,
+                                            tmp_path):
+    """A generational root (two generations and a root tombstone)
+    snapshots and restores as one tree and serves identically."""
+    from onestools_eventlog_ray.pipelines.incremental import add_generation
+    from onestools_eventlog_ray.pipelines.query import SearchEngine
+    from onestools_eventlog_ray.state.tombstones import delete_docs
+    root = str(tmp_path / "gens")
+    for i, part in enumerate((small_corpus.slice(0, 200),
+                              small_corpus.slice(200))):
+        path = str(tmp_path / f"half{i}.parquet")
+        pq.write_table(part, path)
+        add_generation(path, root, cfg=CFG)
+    terms = ["def", "import", "class"]
+    delete_docs(root, [SearchEngine(root).search(terms, 1)[0][0]])
+    out = op_snap_restore(root, tmp_path)
+    a, b = SearchEngine(root), SearchEngine(out)
+    assert len(a.engines) == len(b.engines) == 2
+    assert (a.deleted == b.deleted).all() and a.deleted.size
+    for q in (terms, ["return"], ["nosuchterm"]):
+        assert b.search(q, 20, tie="e6") == a.search(q, 20, tie="e6")
 
 
 # ---------------------------------------------------------------------------
