@@ -26,7 +26,13 @@ ordinals (a doc's position in the engine's sorted doc_id column):
 - tombstones are the boolean ``live`` mask over the same ordinals, and
   doc_ids from outside the postings pass :func:`doc_mask` and ``live``.
 
-A query then costs O(N) scratch arrays and no sort of its matches.
+A query then costs O(N) scratch arrays, and a top-k query ranks only
+the docs at or above its score floor: the weight cache keeps each
+term's largest weights (:func:`top_weights`), the largest k-th live one
+over the query's terms is a lower bound of the k-th score
+(:func:`score_floor`), and :func:`accumulate` returns only the docs
+that reach it, so the top-k cut runs over tens of candidates rather
+than every match.
 """
 
 from __future__ import annotations
@@ -35,6 +41,17 @@ import numpy as np
 
 from onestools_eventlog_ray.functions import codec
 from onestools_eventlog_ray.functions.analyzer import tokenize_py
+
+
+#: the length of a term's top-weight list (:func:`top_weights`): a top-k
+#: query gets a score floor when k is at most this, and only from terms
+#: with more postings than this
+TOP_WEIGHTS = 64
+
+# below the floor :func:`accumulate` keeps this much: ``tie="e6"`` ranks on
+# floor(score * 1e6 + 0.5), so a doc that ties the k-th e6 key may score
+# up to one e6 unit under the floor, plus the float error of score * 1e6
+FLOOR_MARGIN = 2e-6
 
 
 def idf(N: int, df: np.ndarray | int | float) -> np.ndarray | float:
@@ -91,7 +108,8 @@ def doc_mask(docs: np.ndarray, doc_ids) -> np.ndarray:
     return mask
 
 
-def accumulate(parts, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def accumulate(parts, live: np.ndarray, floor: float = -np.inf
+               ) -> tuple[np.ndarray, np.ndarray]:
     """The TAAT kernel every scorer shares: ``(ordinals, weights)`` parts
     in accumulate order -> per-doc ``(ordinals, scores)``, ordinals
     ascending.  An ordinal is a doc's position in the scorer's sorted
@@ -102,8 +120,11 @@ def accumulate(parts, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``np.add.at`` adds each doc's weights in part order, so callers that
     pass parts in sorted term order get the oracle's float64 sums bit
     for bit.  The score dtype follows the weights (float64 BM25, exact
-    int64 e6/e12 fixed point).  A doc is returned when any part holds
-    it, whatever its score, so a zero weight still counts as a match.
+    int64 e6/e12 fixed point).  Without a ``floor`` a doc is returned
+    when any part holds it, whatever its score, so a zero weight still
+    counts as a match.  With a ``floor`` (:func:`score_floor`) only the
+    docs scoring at least ``floor - FLOOR_MARGIN`` are returned: every
+    doc of the top k in either ``tie`` mode, and few others.
 
     The accumulator is dense: every call allocates O(N) scratch for the
     ``N = live.size`` docs, however few postings the parts hold."""
@@ -113,10 +134,57 @@ def accumulate(parts, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     all_w = np.concatenate([w for _, w in parts])
     scores = np.zeros(live.size, dtype=all_w.dtype)
     np.add.at(scores, ords, all_w)
-    hit = np.zeros(live.size, dtype=bool)
-    hit[ords] = True
-    sel = np.flatnonzero(hit & live)
+    if floor > FLOOR_MARGIN:
+        # a doc no part holds scores 0, under the cut
+        keep = scores >= floor - FLOOR_MARGIN
+    else:
+        keep = np.zeros(live.size, dtype=bool)
+        keep[ords] = True
+    sel = np.flatnonzero(keep & live)
     return sel, scores[sel]
+
+
+def top_weights(ords: np.ndarray, w: np.ndarray, n: int = TOP_WEIGHTS
+                ) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``n`` largest of one term's weights with their ordinals,
+    weights descending: ``(weights, ordinals)`` with each ordinal once,
+    at its largest weight (a doc held by two generations counts once),
+    so the list may be shorter than ``n``.  A term with at most ``n``
+    weights gets an empty list: its matches are few, so a floor from it
+    would save less than the list costs to build.  None when a weight
+    is negative, as a sum of weights is then no bound of its terms."""
+    if w.size and w.min() < 0:
+        return None
+    if w.size <= n:
+        return w[:0], ords[:0]
+    top = np.argpartition(w, w.size - n)[w.size - n:]
+    # by ordinal, largest weight first; keep each ordinal's first
+    top = top[np.lexsort((-w[top], ords[top]))]
+    first = np.ones(top.size, dtype=bool)
+    first[1:] = ords[top[1:]] != ords[top[:-1]]
+    top = top[first]
+    top = top[np.argsort(-w[top], kind="stable")]
+    return w[top], ords[top]
+
+
+def score_floor(tops: list, live: np.ndarray, k: int) -> float:
+    """A lower bound of the k-th largest score of a query whose terms
+    have the :func:`top_weights` lists ``tops``, over the docs ``live``
+    lets through: the largest k-th live weight of any one list.  Every
+    weight is non-negative and float addition is monotone, so each of
+    those k docs scores at least its weight.  ``-inf`` (no bound) when
+    ``k`` is not in ``1..TOP_WEIGHTS``, a list is None, or no list
+    holds k live docs."""
+    best = -np.inf
+    if not 0 < k <= TOP_WEIGHTS:
+        return best
+    for top in tops:
+        if top is None:
+            return -np.inf
+        lw = top[0][live[top[1]]]
+        if lw.size >= k and lw[k - 1] > best:
+            best = float(lw[k - 1])
+    return best
 
 
 def term_weights(blob: bytes, idf_t: float, avgdl: float, k1: float,

@@ -270,8 +270,7 @@ def _record_empty_partitions(index_dir: str, P: int, part_rows: list[dict],
         if pid not in built:
             ckpt.write_record(index_dir, ckpt.PartitionRecord(
                 partition_id=pid, input_fingerprint=fingerprint,
-                output_path="", n_terms=0, n_postings=0,
-                build_wall_s=0.0, status="done"))
+                output_path="", n_terms=0, n_postings=0, status="done"))
 
 
 def _report(stats: dict, P: int, resumed: int, t_start: float,

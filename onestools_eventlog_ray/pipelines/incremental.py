@@ -393,12 +393,14 @@ def _reshard(src_index: str, out_dir: str, P2: int, origin: dict) -> dict:
     ``r % g == j % g``.  One Ray task per target reads those sources,
     keeps the rows with ``term_partition(term, P2) == j`` and writes
     them term-sorted (K4) through ``write_shard``; a target with no rows
-    gets no file.  Every other file is linked through
-    ``state.snapshot.link_or_copy`` (the docstore, the manifest,
-    tombstones and the sidecars, which record their own
-    ``num_partitions``), and ``stats.json`` is rewritten with
-    ``num_partitions=P2`` plus ``origin``.  Corpus stats (N, avgdl, df)
-    are unchanged, so every BM25 score is bit-identical to the source's."""
+    gets no file.  The manifest gets one partition record per target
+    shard, naming the shard inside ``out_dir`` (``""`` for an empty
+    one).  Every other file is linked through
+    ``state.snapshot.link_or_copy`` (the docstore, tombstones and the
+    sidecars, which record their own ``num_partitions``), and
+    ``stats.json`` is rewritten with ``num_partitions=P2`` plus
+    ``origin``.  Corpus stats (N, avgdl, df) are unchanged, so every
+    BM25 score is bit-identical to the source's."""
     import math
     import ray
     from onestools_eventlog_ray.state import checkpoint as ckpt
@@ -409,8 +411,11 @@ def _reshard(src_index: str, out_dir: str, P2: int, origin: dict) -> dict:
     P = int(stats["num_partitions"])
     g = math.gcd(P, P2)
 
+    def shard_path(j: int) -> str:
+        return os.path.join(out_dir, "shards", f"part-{j:05d}.parquet")
+
     @ray.remote
-    def write_target(j: int) -> int:
+    def write_target(j: int) -> tuple[int, int]:
         import pyarrow as pa_
         import pyarrow.parquet as pq_
         from onestools_eventlog_ray.functions.hashing import term_partition
@@ -418,26 +423,32 @@ def _reshard(src_index: str, out_dir: str, P2: int, origin: dict) -> dict:
                 for r in range(j % g, P, g)]
         tbls = [pq_.read_table(s) for s in srcs if os.path.exists(s)]
         if not tbls:
-            return 0
+            return 0, 0
         t = pa_.concat_tables(tbls)
         t = t.filter(pa_.array(
             term_partition(t["term"].combine_chunks(), P2) == j))
         if not t.num_rows:
-            return 0
-        write_shard(t.sort_by("term"),
-                    os.path.join(out_dir, "shards", f"part-{j:05d}.parquet"))
-        return t.num_rows
+            return 0, 0
+        write_shard(t.sort_by("term"), shard_path(j))
+        return t.num_rows, int(t["df"].to_numpy().sum())
 
     jobs = [write_target.remote(j) for j in range(P2)]
     for rel, path in index_files(src_index):
-        if rel != "stats.json" and not rel.startswith("shards" + os.sep):
+        if rel != "stats.json" and not rel.startswith(
+                ("shards" + os.sep, "manifest" + os.sep)):
             link_or_copy(path, os.path.join(out_dir, rel))
-    n_postings = int(sum(ray.get(jobs)))
+    n_rows = 0
+    for j, (n_terms, n_post) in enumerate(ray.get(jobs)):
+        n_rows += n_terms
+        ckpt.write_record(out_dir, ckpt.PartitionRecord(
+            partition_id=j, input_fingerprint=stats.get("fingerprint", ""),
+            output_path=shard_path(j) if n_terms else "", n_terms=n_terms,
+            n_postings=n_post, status="done"))
     ckpt.write_stats(out_dir, {
         **stats, "num_partitions": P2,
         "config": dict(stats.get("config", {}), num_partitions=P2),
         **origin})
-    return {"num_partitions": P2, "n_postings_rows": n_postings}
+    return {"num_partitions": P2, "n_postings_rows": n_rows}
 
 
 def shrink_index(src_index: str, out_dir: str, factor: int = 2) -> dict:

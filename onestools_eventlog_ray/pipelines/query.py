@@ -37,8 +37,8 @@ import pyarrow.parquet as pq
 from onestools_eventlog_ray.functions import codec
 from onestools_eventlog_ray.functions.bm25 import (accumulate, doc_mask,
                                                    idf as idf_fn, pick_topk,
-                                                   term_weights,
-                                                   topk_order_e6)
+                                                   score_floor, term_weights,
+                                                   top_weights, topk_order_e6)
 from onestools_eventlog_ray.functions.hashing import term_partition_one
 from onestools_eventlog_ray.stages.postings import TermShards
 from onestools_eventlog_ray.state import checkpoint as ckpt
@@ -103,16 +103,41 @@ class DocStore:
     The handles are a snapshot: a part deleted or replaced on disk after
     open is still read as it was opened.  After :meth:`close` a read
     raises (pyarrow's ``ArrowInvalid``, a ``ValueError``) rather than
-    reopen parts that may have changed; open a new engine instead."""
+    reopen parts that may have changed; open a new engine instead.
+
+    :meth:`union` joins open stores (a root's leaves) into one that
+    reads through their handles: no part is opened or read twice, and
+    closing the joined stores closes it."""
 
     def __init__(self, index_dirs: list[str]):
         import glob
-        self._files = [pq.ParquetFile(f) for d in index_dirs
-                       for f in sorted(glob.glob(
-                           os.path.join(d, "docstore", "*.parquet")))]
-        ids = np.concatenate([np.empty(0, np.int64)] + [
+        files = [pq.ParquetFile(f) for d in index_dirs
+                 for f in sorted(glob.glob(
+                     os.path.join(d, "docstore", "*.parquet")))]
+        self._build(files, [
             pf.read(columns=["doc_id"], use_threads=False)["doc_id"]
-            .to_numpy().astype(np.int64) for pf in self._files])
+            .to_numpy().astype(np.int64) for pf in files])
+
+    @classmethod
+    def union(cls, stores: list[DocStore]) -> DocStore:
+        """One store over the parts of ``stores``, in ``stores`` order,
+        sharing their open handles and doc_id columns."""
+        self = cls.__new__(cls)
+        self._build([pf for s in stores for pf in s._files],
+                    [s._row_doc_ids() for s in stores])
+        return self
+
+    def _row_doc_ids(self) -> np.ndarray:
+        """The doc_id of every row, in row position order."""
+        ids = np.empty(self._rows.size, dtype=np.int64)
+        ids[self._rows] = np.repeat(self.docs, np.diff(self._start))
+        return ids
+
+    def _build(self, files: list, ids: list[np.ndarray]) -> None:
+        """Map the rows of the open parts ``files``, whose doc_id
+        columns are ``ids``, to ordinals."""
+        self._files = files
+        ids = np.concatenate([np.empty(0, np.int64)] + ids)
         # the parts' schema; an index with no docstore part has doc_id only
         self.schema = self._files[0].schema_arrow if self._files \
             else pa.schema([("doc_id", pa.int64())])
@@ -184,13 +209,15 @@ class SearchEngine:
     leaf's; :meth:`use_stats` swaps in a caller's global stats.
 
     At open it opens the docstore of every picked dir
-    (:class:`DocStore`), whose sorted distinct doc_ids are ``docs``, and
+    (:class:`DocStore`; a root joins its leaves' stores, so each part is
+    opened once), whose sorted distinct doc_ids are ``docs``, and
     builds the ``live`` mask from the tombstones of ``path`` and of each
     leaf.  A leaf's ``_cache`` holds raw ``(df, blob)`` per term, None
     for a term with no posting; ``_w_cache`` holds each hot term's
     ``(doc ordinals, BM25 weights)``, an ordinal being the doc's
-    position in ``docs``, so a warm query is one dense accumulate and a
-    top-k cut.
+    position in ``docs``, and its largest weights, so a warm query is
+    one dense accumulate cut at a score floor and a top-k cut over the
+    few docs above it.
 
     One lookup rule serves every query family:
 
@@ -265,7 +292,8 @@ class SearchEngine:
             self.k1, self.b = self._leaves[0].k1, self._leaves[0].b
         # the docstores' sorted doc_ids: a posting's doc ordinal is its
         # position here
-        self._docstore = DocStore(dirs)
+        self._docstore = DocStore.union([e._docstore for e in self._leaves]) \
+            if self._leaves else DocStore(dirs)
         self.docs = self._docstore.docs
         # soft-deleted doc_ids (sorted): masked from every result path;
         # stats stay those of the built index (ES soft-delete semantics)
@@ -273,10 +301,10 @@ class SearchEngine:
             [load_tombstones(path)] + [e.deleted for e in self._leaves]))
         # term -> df that replaces the leaves' summed df (use_stats)
         self._df: dict[str, int] = {}
-        # decoded (doc ordinals, weights) per term: weights depend only
-        # on the engine's fixed stats, so repeated queries on hot terms
-        # skip the varint decode, the BM25 weight math and the ordinal
-        # lookup entirely
+        # decoded ((doc ordinals, weights), top_weights) per term: weights
+        # depend only on the engine's fixed stats, so repeated queries on
+        # hot terms skip the varint decode, the BM25 weight math and the
+        # ordinal lookup entirely
         self._w_cache: OrderedDict[str, tuple] = OrderedDict()
 
     @property
@@ -301,10 +329,10 @@ class SearchEngine:
         the docstore parts (a later docstore read raises
         ``ValueError``), of this engine and of its leaves."""
         for e in self._leaves:
-            e.close()
+            e.close()       # a root's docstore reads through its leaves'
         if not self._leaves:
             self._shards.close()
-        self._docstore.close()
+            self._docstore.close()
 
     def stats(self) -> tuple[int, float, dict[str, int]]:
         """(N, Σ avgdl·N, {term: df}) over the leaves, the inputs of a
@@ -525,11 +553,14 @@ class SearchEngine:
 
     # ---- exact TAAT scorer ----------------------------------------------
 
-    def _term_parts(self, uniq: list[str]) -> list[tuple]:
+    def _term_parts(self, uniq: list[str], tops: list | None = None
+                    ) -> list[tuple]:
         """``(doc ordinals, weights)`` of each term of ``uniq`` that has
         a posting, in ``uniq`` order, through the decoded-weight cache:
         one part per term, its leaves' postings joined in generation
-        order."""
+        order.  A cache entry also keeps the term's
+        :func:`~onestools_eventlog_ray.functions.bm25.top_weights`,
+        appended to ``tops`` in part order when it is given."""
         per_leaf = [e.load_terms(uniq) for e in self.engines]
         parts = []
         for t in uniq:
@@ -541,13 +572,15 @@ class SearchEngine:
                 ids, w = (np.concatenate(c) for c in zip(*(
                     term_weights(blob, idf_t, self.avgdl, self.k1, self.b)
                     for blob in hit[1])))
-                cached = self._w_cache[t] = (np.searchsorted(self.docs, ids),
-                                             w)
+                ords = np.searchsorted(self.docs, ids)
+                cached = self._w_cache[t] = ((ords, w), top_weights(ords, w))
                 if len(self._w_cache) > 256:
                     self._w_cache.popitem(last=False)
             else:
                 continue
-            parts.append(cached)
+            parts.append(cached[0])
+            if tops is not None:
+                tops.append(cached[1])
         return parts
 
     def _hits(self, terms: list[str]) -> np.ndarray:
@@ -578,7 +611,7 @@ class SearchEngine:
 
     def _taat_arrays(self, terms: list[str],
                      allowed: np.ndarray | None = None,
-                     excluded: np.ndarray | None = None
+                     excluded: np.ndarray | None = None, k: int = 0
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Full df-bounded TAAT accumulation -> (doc_ids, scores) numpy
         arrays, doc_ids ascending.  The shared scoring core of every
@@ -586,14 +619,19 @@ class SearchEngine:
         arrays — never a Python list of tuples — so only the final O(k)
         cut ever becomes Python objects.  ``allowed`` and ``excluded``
         narrow the live mask; their ids that are not in the index are
-        ignored."""
+        ignored.  With ``k`` the arrays hold the top k in either ``tie``
+        mode and may miss the other matches: those under the query's
+        :func:`~onestools_eventlog_ray.functions.bm25.score_floor` over
+        the same live mask."""
         live = self.live
         if allowed is not None:
             live = live & doc_mask(self.docs, allowed)
         if excluded is not None and excluded.size:
             live = live & ~doc_mask(self.docs, excluded)
+        tops: list = []
         # sorted term order == oracle order
-        ords, scores = accumulate(self._term_parts(sorted(set(terms))), live)
+        parts = self._term_parts(sorted(set(terms)), tops)
+        ords, scores = accumulate(parts, live, score_floor(tops, live, k))
         return self.docs[ords], scores
 
     def search(self, terms: list[str], k: int = 10, tie: str = "float", *,
@@ -607,8 +645,14 @@ class SearchEngine:
         ``tie="e6"`` ranks on the quantized ``floor(score*1e6+0.5)``
         integer with (e6 desc, doc_id asc) tie-break — the exact key the
         SQL oracles sort on — so callers needing oracle-exact ranks ask
-        for k=10 instead of pulling the full match list."""
-        uids, scores = self._taat_arrays(terms, allowed, excluded)
+        for k=10 instead of pulling the full match list.
+
+        The top-k cut sees only the matches at or above the query's
+        score floor (:meth:`_taat_arrays` with ``k``), a lower bound of
+        the k-th score from the terms' cached largest weights; for k up
+        to ``bm25.TOP_WEIGHTS`` a hot query hands it tens of candidates,
+        and without a bound it sees every match."""
+        uids, scores = self._taat_arrays(terms, allowed, excluded, k)
         idx = pick_topk(tie)(scores, uids, k)
         return list(zip(uids[idx].tolist(), scores[idx].tolist()))
 

@@ -41,7 +41,6 @@ dictionary.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pyarrow as pa
@@ -242,7 +241,6 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
         from onestools_eventlog_ray.functions.runtime import \
             pin_worker_threads
         pin_worker_threads()
-        t0 = time.monotonic()
         pkey = int(group["pkey"][0].as_py())
         term_col = group["term"]
         if isinstance(term_col, pa.ChunkedArray):
@@ -296,14 +294,12 @@ def make_merge_and_write(index_dir: str, fingerprint: str,
         rec = ckpt.PartitionRecord(
             partition_id=pkey, input_fingerprint=fingerprint,
             output_path=shard_path, n_terms=shard.num_rows,
-            n_postings=int(df.sum()),
-            build_wall_s=time.monotonic() - t0, status="done")
+            n_postings=int(df.sum()), status="done")
         ckpt.write_record(index_dir, rec)
         return pa.table({
             "partition_id": pa.array([pkey], pa.int64()),
             "n_terms": pa.array([shard.num_rows], pa.int64()),
             "n_postings": pa.array([rec.n_postings], pa.int64()),
-            "build_wall_s": pa.array([rec.build_wall_s], pa.float64()),
         })
 
     return merge_and_write

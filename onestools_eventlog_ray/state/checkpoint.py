@@ -45,7 +45,6 @@ class PartitionRecord:
     output_path: str         # shard file, "" for empty partitions
     n_terms: int
     n_postings: int
-    build_wall_s: float
     status: str              # "done" | "pending"
 
 
@@ -86,7 +85,11 @@ def read_records(index_dir: str) -> dict[int, PartitionRecord]:
     for name in os.listdir(d):
         if name.startswith("part-") and name.endswith(".json"):
             with open(os.path.join(d, name)) as f:
-                rec = PartitionRecord(**json.load(f))
+                raw = json.load(f)
+            # records written before the build's wall time was dropped
+            # (so two builds of one corpus write the same bytes) carry it
+            raw.pop("build_wall_s", None)
+            rec = PartitionRecord(**raw)
             out[rec.partition_id] = rec
     return out
 

@@ -3,6 +3,8 @@ a two-generation root answers every query family exactly as
 ``SearchEngine`` over a monolithic build of the same docs with the same
 tombstones, some recorded on the root and some on a generation."""
 
+import glob
+
 import numpy as np
 import pyarrow.parquet as pq
 import pytest
@@ -100,3 +102,36 @@ def test_es_bool_and_docstore_reads_equal_the_monolith(pair):
                  {"or": ["def", "zzz_absent"]}):
         assert count_bool(root.index_dir, tree) \
             .equals(count_bool(mono.index_dir, tree))
+
+
+def test_root_opens_each_docstore_part_once(tmp_path, monkeypatch):
+    """A root's docstore reads through its leaves' open parts: opening a
+    two-generation root of 8 + 8 docstore parts opens 16 handles."""
+    from onestools_eventlog_ray import synth
+    from onestools_eventlog_ray.pipelines.incremental import add_generation
+    from onestools_eventlog_ray.pipelines.query import SearchEngine
+    root = str(tmp_path / "root")
+    for g in range(2):
+        corpus = synth.write_corpus(str(tmp_path / f"c{g}"), n_docs=160,
+                                    seed=20 + g, rows_per_file=20)
+        add_generation(corpus, root, cfg=CFG)
+    parts = sorted(glob.glob(f"{root}/gen-*/docstore/*.parquet"))
+    assert len(parts) == 16
+    opened = []
+    real = pq.ParquetFile
+
+    class Counting(real):
+        def __init__(self, source, *args, **kwargs):
+            opened.append(str(source))
+            super().__init__(source, *args, **kwargs)
+    monkeypatch.setattr(pq, "ParquetFile", Counting)
+    eng = SearchEngine(root)
+    assert sorted(p for p in opened if "docstore" in p) == parts
+    assert [leaf.docs.size for leaf in eng.engines] == [160, 160]
+    assert np.array_equal(eng.docs, np.union1d(*[e.docs for e in
+                                                 eng.engines]))
+    ids = [int(eng.engines[0].docs[3]), int(eng.engines[1].docs[5])]
+    assert eng.fetch_docs(ids, ["doc_id"])["doc_id"].to_pylist() == ids
+    eng.close()
+    with pytest.raises(ValueError):
+        eng.fetch_docs(ids, ["doc_id"])
